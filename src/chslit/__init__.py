@@ -3,7 +3,8 @@
 Build a scenario from slit amplitudes, realize it as a small Hilbert-space
 model, evaluate the decoherence functional over coarse-grainings of the
 paths, enumerate the consistent frameworks, and query path probabilities
-subject to the single-framework rule.
+subject to the single-framework rule.  Verdicts come from a closed form;
+the dense model in ``chslit.reference`` is the oracle it is tested against.
 """
 
 from .core import (
@@ -29,17 +30,11 @@ from .engine import (
     DEFAULT_TOLERANCE,
     ConsistencyReport,
     ExperimentModel,
-    History,
-    HistorySet,
-    ProbabilityTable,
+    Framework,
     build_experiment,
     check_consistency,
-    class_operator_apply,
-    conditional_probability,
-    decoherence_functional,
     group_decoherence_closed_form,
     history_probabilities,
-    history_set_for_partition,
 )
 from .errors import (
     AlreadyRefined,
@@ -67,9 +62,9 @@ from .errors import (
 from .frameworks import (
     DEFAULT_MAX_PATHS,
     ContradictionRecord,
-    Framework,
     build_framework,
     combine_queries,
+    conditional_probability,
     enumerate_consistent_frameworks,
     enumerate_partitions,
     find_contradictions,
@@ -84,3 +79,12 @@ from .scenarios import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: the dense reference model, and numpy with it, loads on first use.
+    if name in ("History", "HistorySet", "class_operator_apply", "decoherence_functional", "history_set_for_partition"):
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

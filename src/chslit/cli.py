@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -21,12 +22,11 @@ from .core import (
     format_scenario_partition,
     parse_scenario_partition,
 )
-from .engine import DETECTED, UNDETECTED, DEFAULT_TOLERANCE, build_experiment, check_consistency
+from .engine import DETECTED, UNDETECTED, DEFAULT_TOLERANCE, MODE_MEDIUM, MODES, build_experiment, check_consistency
 from .errors import (
     BadIndex,
     ChslitError,
     ConditionUnsatisfied,
-    EmptyMask,
     MeaninglessCombination,
     NotExhaustive,
     NotInFramework,
@@ -95,11 +95,6 @@ def _load_source(args: argparse.Namespace) -> SlitScenario:
     return load_scenario(Path(args.file).read_text(encoding="utf-8"))
 
 
-def _positions(scenario: SlitScenario) -> dict[int, int]:
-    """Map path index -> 1-based open position, as used in partition text."""
-    return {index: j + 1 for j, index in enumerate(scenario.open_indices)}
-
-
 def _scenario_partition(scenario: SlitScenario, text: str, flag: str):
     """Parse partition text, naming the offending flag in any error."""
     try:
@@ -108,44 +103,26 @@ def _scenario_partition(scenario: SlitScenario, text: str, flag: str):
         raise type(exc)(f"{flag}: {exc}") from None
 
 
-def _event_from_text(scenario: SlitScenario, text: str, flag: str) -> frozenset[int]:
-    """Parse comma-separated 1-based open-path positions into path indices."""
-    open_indices = scenario.open_indices
+def _paths_from_text(text: str, paths: Sequence[int], flag: str) -> frozenset[int]:
+    """Parse comma-separated 1-based numbers, each naming an entry of ``paths``."""
     members: set[int] = set()
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise BadIndex(f"empty index in {flag}")
         try:
-            position = int(token)
+            number = int(token)
         except ValueError:
             raise BadIndex(f"cannot parse index {token!r} in {flag}") from None
-        if not 1 <= position <= len(open_indices):
-            raise BadIndex(f"{flag}: position {position} out of range 1..{len(open_indices)}")
-        members.add(open_indices[position - 1])
-    return frozenset(members)
-
-
-def _mask_from_text(scenario: SlitScenario, text: str) -> frozenset[int]:
-    """Parse comma-separated 1-based path indices (over all paths)."""
-    members: set[int] = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise EmptyMask("--mask must list at least one path")
-        try:
-            index = int(token)
-        except ValueError:
-            raise BadIndex(f"cannot parse index {token!r} in --mask") from None
-        if not 1 <= index <= scenario.n_paths:
-            raise BadIndex(f"--mask: path {index} out of range 1..{scenario.n_paths}")
-        members.add(index - 1)
+        if not 1 <= number <= len(paths):
+            raise BadIndex(f"{flag}: {number} out of range 1..{len(paths)}")
+        members.add(paths[number - 1])
     return frozenset(members)
 
 
 def _event_positions(scenario: SlitScenario, event: frozenset[int]) -> list[int]:
-    positions = _positions(scenario)
-    return sorted(positions[i] for i in event)
+    """1-based open positions, as used in partition text, of an event's paths."""
+    return sorted(scenario.open_indices.index(i) + 1 for i in event)
 
 
 def _event_text(scenario: SlitScenario, event: frozenset[int]) -> str:
@@ -156,6 +133,20 @@ def _event_labels(scenario: SlitScenario, event: frozenset[int]) -> list[str]:
     return [scenario.path_label(i) for i in sorted(event)]
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
+    return value
+
+
+def _path_cap(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def _max_paths(args: argparse.Namespace) -> int:
     if getattr(args, "max_n", None) is not None:
         return args.max_n
@@ -163,9 +154,9 @@ def _max_paths(args: argparse.Namespace) -> int:
     if raw is None:
         return DEFAULT_MAX_PATHS
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_PATHS_ENV} must be an integer, got {raw!r}") from None
+        return _path_cap(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{MAX_PATHS_ENV} must be an integer of at least 1, got {raw!r}") from None
 
 
 def _framework_payload(scenario: SlitScenario, framework: Framework) -> dict[str, Any]:
@@ -204,9 +195,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     model = build_experiment(scenario)
     partition = _scenario_partition(scenario, args.partition, "--partition")
     report = check_consistency(model, partition, mode=args.mode, tolerance=args.tol)
-    offending = None
-    if report.offending_pair is not None:
-        offending = [report.offending_pair[0].label, report.offending_pair[1].label]
+    offending = None if report.offending_pair is None else list(report.offending_pair)
     payload = {
         "partition": format_scenario_partition(scenario, partition),
         "consistent": report.consistent,
@@ -264,7 +253,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     model = build_experiment(scenario)
     partition = _scenario_partition(scenario, args.framework, "--framework")
     framework = build_framework(model, partition, mode=args.mode, tolerance=args.tol)
-    event = _event_from_text(scenario, args.event, "--event")
+    event = _paths_from_text(args.event, scenario.open_indices, "--event")
     probability = query_event(framework, event, given_detected=args.given_detected)
     payload: dict[str, Any] = {
         "framework": format_scenario_partition(scenario, framework.partition),
@@ -280,7 +269,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         event_text, partition_text = args.and_query.split("@", 1)
         other_partition = _scenario_partition(scenario, partition_text, "--and")
         other = build_framework(model, other_partition, mode=args.mode, tolerance=args.tol)
-        other_event = _event_from_text(scenario, event_text, "--and")
+        other_event = _paths_from_text(event_text, scenario.open_indices, "--and")
         other_probability = query_event(other, other_event, given_detected=args.given_detected)
         payload["and"] = {
             "framework": format_scenario_partition(scenario, other.partition),
@@ -353,7 +342,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     payload: dict[str, Any] = {}
     lines = [f"scenario: {scenario.name}"]
     if args.mask is not None:
-        mask = _mask_from_text(scenario, args.mask)
+        mask = _paths_from_text(args.mask, range(scenario.n_paths), "--mask")
         rate = counting_rate(scenario, mask)
         payload["mask"] = sorted(i + 1 for i in mask)
         payload["mask_labels"] = _event_labels(scenario, mask)
@@ -368,6 +357,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
             singles.append({"path": index + 1, "label": scenario.path_label(index), "rate": rate})
             total += rate
             lines.append(f"  {scenario.path_label(index)} (path {index + 1}): {_fmt(rate)}")
+        if math.isinf(total):
+            raise ValueError("sum of single-path rates is too large for a float")
         all_open_rate = counting_rate(scenario, scenario.open_indices)
         deficit = all_open_rate - total
         payload["singles"] = singles
@@ -392,15 +383,23 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_arguments(parser: argparse.ArgumentParser, with_mode: bool = True) -> None:
     if with_mode:
-        parser.add_argument("--mode", choices=["weak", "medium"], default="medium",
+        parser.add_argument("--mode", choices=MODES, default=MODE_MEDIUM,
                             help="consistency condition: full off-diagonal (medium) or real part only (weak)")
-        parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                            help="relative consistency tolerance (default 1e-10)")
+        parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                            help="relative consistency tolerance, finite and non-negative (default 1e-10)")
     parser.add_argument("--format", choices=["text", "json"], default="text", help="output format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument on one line, like every other input error."""
+
+    def error(self, message: str):
+        _fail(message)
+        raise SystemExit(EXIT_INPUT_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chslit",
         description="Consistent-histories analysis of multi-slit scenarios.",
     )
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     frameworks = sub.add_parser("frameworks", help="enumerate all consistent frameworks")
     _add_source_arguments(frameworks)
-    frameworks.add_argument("--max-n", type=int, default=None,
+    frameworks.add_argument("--max-n", type=_path_cap, default=None,
                             help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
     _add_common_arguments(frameworks)
     frameworks.set_defaults(handler=_cmd_frameworks)
@@ -444,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     contradictions = sub.add_parser("contradictions", help="search framework pairs for clashing certainties")
     _add_source_arguments(contradictions)
-    contradictions.add_argument("--max-n", type=int, default=None,
+    contradictions.add_argument("--max-n", type=_path_cap, default=None,
                                 help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
     _add_common_arguments(contradictions)
     contradictions.set_defaults(handler=_cmd_contradictions)

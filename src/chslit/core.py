@@ -278,11 +278,15 @@ def counting_rate(scenario: SlitScenario, open_mask: Iterable[int]) -> float:
 
     Returns ``|sum of the masked amplitudes|**2``; the proportionality
     constant is fixed at 1 by convention.  The mask is hypothetical, so it
-    may include paths whose slit is currently closed.
+    may include paths whose slit is currently closed.  A rate too large for
+    a float raises ValueError.
     """
     mask = frozenset(open_mask)
     if not mask:
         raise EmptyMask("counting rate needs at least one open path")
     for index in mask:
         scenario.check_index(index)
-    return abs(_sum_amplitudes(scenario, mask)) ** 2
+    try:
+        return abs(_sum_amplitudes(scenario, mask)) ** 2
+    except OverflowError:
+        raise ValueError("counting rate is too large for a float") from None

@@ -1,36 +1,36 @@
-"""Hilbert-space realization of a slit scenario and the history machinery.
+"""The experiment model and the one kernel that decides consistency.
 
-The model lives in the path basis: dimension one per flattened path, identity
-dynamics, and two time steps per history (which slit group, then whether the
-detector fired).  The initial state is the equal-weight superposition over
-open paths; all of the physics sits in the detector direction, chosen so the
-detection amplitude picked up from path ``i`` is proportional to ``A_i``.
+The model lives in the path basis: one dimension per flattened path,
+identity dynamics, and two time steps per history (which slit group, then
+whether the detector fired).  The initial state is the equal-weight
+superposition over the k open paths; the detector direction is
+``conj(A)/|A|``.  ``chslit.reference`` builds it with explicit projectors,
+as the oracle for the tests.
 
-On that model the decoherence functional of two histories ``h``, ``h2`` is
-the inner product of their branch vectors, ``<C_h2 psi | C_h psi>``, where a
-class operator ``C_h`` is the time-ordered product of the history's
-projectors.  Its diagonal supplies candidate probabilities; the off-diagonal
-part measures interference between histories, and a partition whose
-off-diagonal values vanish (to tolerance) is a consistent set.
+The detector projector is rank one and the path projectors are diagonal, so
+with ``c_G = A_G / (sqrt(k) * |A|)`` the decoherence functional of a
+partition is ``conj(c_H) * c_G`` between detected histories,
+``delta_GH * |G|/k - conj(c_H) * c_G`` between undetected ones, and exactly
+0 across.  Its diagonal supplies candidate probabilities; a partition whose
+off-diagonal values vanish to tolerance is a consistent set (Griffiths,
+J. Stat. Phys. 36, 219 (1984)).  ``_decide`` evaluates this closed form,
+and every verdict and probability in the package comes from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .core import Partition, SlitScenario
 from .errors import (
     BadIndex,
     ClosedPathInGroup,
-    ConditionUnsatisfied,
     DegenerateDetector,
-    DimensionMismatch,
     InconsistentSet,
     NoOpenPaths,
-    NotInPartition,
 )
 
 DETECTED = "detected"
@@ -44,82 +44,64 @@ MODES = (MODE_WEAK, MODE_MEDIUM)
 #: Default consistency tolerance, relative to the largest diagonal value.
 DEFAULT_TOLERANCE = 1e-10
 
-#: Absolute tolerance floor used when every diagonal value vanishes.
-TOLERANCE_FLOOR = 1e-14
-
 #: Conditioning events with probability at or below this are treated as null.
 NULL_CONDITION = 1e-14
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _reference():
+    # Imported on first use, so that no command path loads numpy.
+    from . import reference
 
-
-@dataclass(frozen=True, eq=False)
-class History:
-    """A chain of projectors, one per time step, earliest first."""
-
-    chain: tuple[np.ndarray, ...]
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chain", tuple(self.chain))
-
-
-@dataclass(frozen=True, eq=False)
-class HistorySet:
-    """Histories sharing a chain length, with the projector family used at
-    each time step."""
-
-    histories: tuple[History, ...]
-    step_families: tuple[tuple[np.ndarray, ...], ...]
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Check each step family sums to the identity and is orthogonal."""
-        for step, family in enumerate(self.step_families):
-            n = family[0].shape[0]
-            total = sum(family[1:], family[0].copy())
-            if not np.allclose(total, np.eye(n), atol=atol):
-                raise ValueError(f"projector family at step {step} does not sum to identity")
-            for i in range(len(family)):
-                for j in range(i + 1, len(family)):
-                    if not np.allclose(family[i] @ family[j], 0.0, atol=atol):
-                        raise ValueError(f"projectors {i} and {j} at step {step} are not orthogonal")
+    return reference
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentModel:
-    """Immutable Hilbert-space realization of a scenario."""
+    """Immutable realization of a scenario.
+
+    ``amplitudes`` are the path amplitudes times the power of two that puts
+    the largest component in [1, 2): exact, so cancelling sums still cancel,
+    and no square overflows or underflows anywhere in the double range.
+    With ``scale = 1 / (k * sum |amplitudes|^2)``, a group whose amplitudes
+    sum to ``s`` has ``|c_G|^2 = |s|^2 * scale``.  The dense members are
+    built by ``chslit.reference`` on first use.
+    """
 
     scenario: SlitScenario
-    psi: np.ndarray
-    detector: np.ndarray
-    projector_detected: np.ndarray
-    projector_undetected: np.ndarray
+    amplitudes: tuple[complex, ...]
+    scale: float
 
     @property
     def dimension(self) -> int:
-        return self.psi.shape[0]
+        return self.scenario.n_paths
 
     @property
     def open_indices(self) -> tuple[int, ...]:
         return self.scenario.open_indices
 
-    def path_projector(self, index: int) -> np.ndarray:
-        self.scenario.check_index(index)
-        p = np.zeros((self.dimension, self.dimension), dtype=complex)
-        p[index, index] = 1.0
-        return _frozen(p)
+    @cached_property
+    def psi(self):
+        return _reference().initial_state(self)
 
-    def group_projector(self, group: Iterable[int]) -> np.ndarray:
-        p = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for index in group:
-            self.scenario.check_index(index)
-            p[index, index] = 1.0
-        return _frozen(p)
+    @cached_property
+    def detector(self):
+        return _reference().detector_direction(self)
 
-    def branch_projector(self, branch: str) -> np.ndarray:
+    @cached_property
+    def projector_detected(self):
+        return _reference().detection_projector(self)
+
+    @cached_property
+    def projector_undetected(self):
+        return _reference().non_detection_projector(self)
+
+    def path_projector(self, index: int):
+        return self.group_projector((self.scenario.check_index(index),))
+
+    def group_projector(self, group: Iterable[int]):
+        return _reference().group_projector(self, group)
+
+    def branch_projector(self, branch: str):
         if branch == DETECTED:
             return self.projector_detected
         if branch == UNDETECTED:
@@ -130,62 +112,148 @@ class ExperimentModel:
 def build_experiment(scenario: SlitScenario) -> ExperimentModel:
     """Construct the path-basis model for a scenario.
 
-    The initial state is 1/sqrt(k) on each of the k open paths; the detector
-    direction is conj(A)/norm(A) over all paths, so the amplitude to be
-    detected from path i is A_i/norm(A).
-
     The absolute detection probability inherits the equal-weight convention
     for the initial state; only conditional probabilities and ratios of
     counting rates are physically meaningful.
     """
-    n = scenario.n_paths
-    open_indices = scenario.open_indices
-    if not open_indices:
+    if not scenario.open_indices:
         raise NoOpenPaths(f"scenario {scenario.name!r} has no open path")
-    amps = np.array(scenario.amplitudes, dtype=complex)
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
+    largest = max(max(abs(a.real), abs(a.imag)) for a in scenario.amplitudes)
+    if largest == 0.0:
         raise DegenerateDetector("all amplitudes vanish; detector direction undefined")
-    psi = np.zeros(n, dtype=complex)
-    psi[list(open_indices)] = 1.0 / np.sqrt(len(open_indices))
-    detector = amps.conj() / norm
-    projector_detected = np.outer(detector, detector.conj())
-    projector_undetected = np.eye(n, dtype=complex) - projector_detected
-    return ExperimentModel(
-        scenario=scenario,
-        psi=_frozen(psi),
-        detector=_frozen(detector),
-        projector_detected=_frozen(projector_detected),
-        projector_undetected=_frozen(projector_undetected),
-    )
+    shift = 1 - math.frexp(largest)[1]
+    amplitudes = tuple(complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift)) for a in scenario.amplitudes)
+    norm_sq = sum(abs(a) ** 2 for a in amplitudes)
+    return ExperimentModel(scenario, amplitudes, 1.0 / (scenario.n_open * norm_sq))
 
 
-def class_operator_apply(model: ExperimentModel, history: History, vector: np.ndarray) -> np.ndarray:
-    """Apply the history's class operator: earliest projector first."""
-    v = np.asarray(vector, dtype=complex)
-    for projector in history.chain:
-        p = np.asarray(projector)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionMismatch(f"projector of shape {p.shape} is not square")
-        if p.shape[1] != v.shape[0]:
-            raise DimensionMismatch(
-                f"projector of shape {p.shape} cannot act on a vector of length {v.shape[0]}"
-            )
-        v = p @ v
-    return v
+@dataclass(frozen=True, eq=False)
+class ConsistencyReport:
+    """A verdict: the largest off-diagonal violation against the tolerance
+    it was held to, and, for an inconsistent set, the labels of the two
+    histories whose decoherence value is that violation."""
+
+    mode: str
+    consistent: bool
+    max_violation: float
+    offending_pair: tuple[str, str] | None
+    tolerance_used: float
 
 
-def decoherence_functional(model: ExperimentModel, h: History, h2: History) -> complex:
-    """Decoherence-functional value ``<C_h2 psi | C_h psi>``.
+@dataclass(frozen=True, eq=False)
+class Framework:
+    """A consistent partition with its probability table: the unit of valid
+    inference about which path a particle took."""
 
-    Hermitian in its arguments; the diagonal is real and non-negative up to
-    rounding.
+    partition: Partition
+    mode: str
+    probabilities: Mapping[tuple[frozenset[int], str], float]
+    report: ConsistencyReport
+
+    def detected_total(self) -> float:
+        return sum(p for (_, branch), p in self.probabilities.items() if branch == DETECTED)
+
+
+def _check_mode_and_tolerance(mode: str, tolerance: float) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown consistency mode {mode!r}")
+    if not (tolerance >= 0.0 and math.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+
+
+def _decide(
+    sums: Sequence[complex], counts: Sequence[int], n: int, k: int, scale: float, mode: str, tolerance: float
+) -> tuple[bool, list[float] | None, float, complex, tuple[int, int] | None, float]:
+    """The closed-form decoherence functional of one partition, judged.
+
+    ``sums[:n]`` and ``counts[:n]`` hold each group's sum of model
+    amplitudes and its size; ``k`` is the number of open paths.  The
+    undetected block mirrors the detected one and the cross block vanishes,
+    so the worst entry is the detected one of the first group pair
+    ``g < h`` maximising ``|conj(c_h) * c_g|`` (medium) or its real part
+    (weak).  The tolerance is relative to the largest diagonal value, which
+    is at least ``1/(2n)`` because the diagonal sums to 1.
+
+    Returns ``(consistent, diagonal, max_violation, entry, pair,
+    tolerance_used)``: ``diagonal`` lists the detected then the undetected
+    probabilities of the groups, and is None for an inconsistent set;
+    ``entry`` is the worst entry and ``pair`` its groups (0j and None for a
+    single group).
     """
-    if len(h.chain) != len(h2.chain):
-        raise DimensionMismatch("histories must share a chain length")
-    branch = class_operator_apply(model, h, model.psi)
-    branch2 = class_operator_apply(model, h2, model.psi)
-    return complex(np.vdot(branch2, branch))
+    max_diag = 0.0
+    top = second = -1.0
+    g1 = g2 = 0
+    for g in range(n):
+        mag = abs(sums[g])
+        detected = mag * mag * scale
+        undetected = counts[g] / k - detected
+        if detected > max_diag:
+            max_diag = detected
+        if undetected > max_diag:
+            max_diag = undetected
+        if mag > top:
+            second, g2, top, g1 = top, g1, mag, g
+        elif mag > second:
+            second, g2 = mag, g
+    entry = 0j
+    pair = None
+    violation = 0.0
+    if n > 1 and mode == MODE_MEDIUM:
+        # The largest |c_g| * |c_h| pairs the two largest moduli.
+        pair = (g1, g2) if g1 < g2 else (g2, g1)
+        entry = sums[pair[1]].conjugate() * sums[pair[0]] * scale
+        violation = abs(entry)
+    elif n > 1:
+        violation = -1.0
+        for g in range(n):
+            s = sums[g]
+            for h in range(g + 1, n):
+                value = sums[h].conjugate() * s
+                real = abs(value.real)
+                if real > violation:
+                    violation, entry, pair = real, value, (g, h)
+        entry *= scale
+        violation = abs(entry.real)
+    tolerance_used = tolerance * max_diag
+    if violation > tolerance_used:
+        return False, None, violation, entry, pair, tolerance_used
+    detected = [m * m * scale for m in map(abs, sums[:n])]
+    diagonal = detected + [counts[g] / k - detected[g] for g in range(n)]
+    return True, diagonal, violation, entry, pair, tolerance_used
+
+
+def _group_sum(model: ExperimentModel, group: Iterable[int]) -> complex:
+    """Sum of the model amplitudes over a group of open paths, in index
+    order, as the enumeration accumulates it."""
+    scenario = model.scenario
+    total = 0j
+    for index in sorted(group):
+        scenario.check_index(index)
+        if not scenario.paths[index].is_open:
+            raise ClosedPathInGroup(f"path {scenario.path_label(index)!r} is closed")
+        total += model.amplitudes[index]
+    return total
+
+
+def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) -> str:
+    return "{%s} then %s" % (",".join(scenario.path_label(i) for i in sorted(group)), branch)
+
+
+def _framework(partition: Partition, mode: str, verdict) -> Framework:
+    """Wrap a partition the kernel found consistent with its diagonal."""
+    keys = [(group, branch) for branch in BRANCHES for group in partition.groups]
+    report = ConsistencyReport(mode, True, verdict[2], None, verdict[5])
+    return Framework(partition, mode, dict(zip(keys, verdict[1])), report)
+
+
+def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance: float):
+    _check_mode_and_tolerance(mode, tolerance)
+    if partition.universe != frozenset(model.open_indices):
+        raise BadIndex("partition must cover exactly the scenario's open paths")
+    groups = partition.groups
+    sums = [_group_sum(model, g) for g in groups]
+    counts = [len(g) for g in groups]
+    return _decide(sums, counts, len(groups), model.scenario.n_open, model.scale, mode, tolerance)
 
 
 def group_decoherence_closed_form(
@@ -196,87 +264,17 @@ def group_decoherence_closed_form(
 ) -> complex:
     """Analytic decoherence value for two slit-then-detection histories.
 
-    With ``c_G = A_G / (sqrt(k) * norm(A))`` the detected branch gives
-    ``conj(c_G2) * c_G``; the undetected branch gives
-    ``|G & G2|/k - conj(c_G2) * c_G``.  Matches the explicit model on every
-    group pair, and is the fast path used when screening partitions.
+    The detected branch gives ``conj(c_G2) * c_G``; the undetected branch
+    gives ``|G & G2|/k - conj(c_G2) * c_G``.  The groups may overlap.
     """
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}")
-    g = frozenset(group)
-    g2 = frozenset(group2)
+    model = build_experiment(scenario)
+    g, g2 = frozenset(group), frozenset(group2)
+    sums = [_group_sum(model, g), _group_sum(model, g2)]
     k = scenario.n_open
-    if k == 0:
-        raise NoOpenPaths(f"scenario {scenario.name!r} has no open path")
-    norm_sq = sum(abs(a) ** 2 for a in scenario.amplitudes)
-    if norm_sq == 0.0:
-        raise DegenerateDetector("all amplitudes vanish; detector direction undefined")
-    c = _group_detection_amplitude(scenario, g, k, norm_sq)
-    c2 = _group_detection_amplitude(scenario, g2, k, norm_sq)
-    value = c2.conjugate() * c
-    if branch == DETECTED:
-        return value
-    return len(g & g2) / k - value
-
-
-def _group_detection_amplitude(scenario: SlitScenario, group: frozenset[int], k: int, norm_sq: float) -> complex:
-    total = 0j
-    for index in group:
-        scenario.check_index(index)
-        path = scenario.paths[index]
-        if not path.is_open:
-            raise ClosedPathInGroup(f"path {path.label!r} is closed")
-        total += path.amplitude
-    return total / ((k * norm_sq) ** 0.5)
-
-
-@dataclass(frozen=True, eq=False)
-class ConsistencyReport:
-    mode: str
-    consistent: bool
-    max_violation: float
-    offending_pair: tuple[History, History] | None
-    tolerance_used: float
-
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityTable:
-    """History probabilities keyed by (group, branch), with the consistency
-    report that licensed them."""
-
-    probabilities: Mapping[tuple[frozenset[int], str], float]
-    report: ConsistencyReport
-
-    def detected_total(self) -> float:
-        return sum(p for (_, branch), p in self.probabilities.items() if branch == DETECTED)
-
-
-def history_set_for_partition(model: ExperimentModel, partition: Partition) -> HistorySet:
-    """The 2 * len(partition) histories: each group, then detected or not.
-
-    When some paths are closed, the slit-time projector family is completed
-    with the projector onto the closed subspace, so the family stays
-    exhaustive; no history uses it, and it carries no initial weight.
-    """
-    open_set = frozenset(model.open_indices)
-    if partition.universe != open_set:
-        raise BadIndex("partition must cover exactly the scenario's open paths")
-    group_projectors = [model.group_projector(g) for g in partition.groups]
-    histories = []
-    for branch in BRANCHES:
-        p_branch = model.branch_projector(branch)
-        for g, p_group in zip(partition.groups, group_projectors):
-            label = "{%s} then %s" % (",".join(model.scenario.path_label(i) for i in sorted(g)), branch)
-            histories.append(History(chain=(p_group, p_branch), label=label))
-    slit_family = list(group_projectors)
-    closed = frozenset(range(model.dimension)) - open_set
-    if closed:
-        slit_family.append(model.group_projector(closed))
-    families = (
-        tuple(slit_family),
-        (model.projector_detected, model.projector_undetected),
-    )
-    return HistorySet(histories=tuple(histories), step_families=families)
+    value = _decide(sums, [len(g), len(g2)], 2, k, model.scale, MODE_MEDIUM, 0.0)[3]
+    return value if branch == DETECTED else len(g & g2) / k - value
 
 
 def check_consistency(
@@ -285,44 +283,18 @@ def check_consistency(
     mode: str = MODE_MEDIUM,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ConsistencyReport:
-    """Evaluate the decoherence functional over the partition's history set.
+    """Decide whether the partition's histories form a consistent set.
 
     Medium mode requires every off-diagonal value to vanish within tolerance;
     weak mode only constrains the real parts.  The tolerance is relative to
-    the largest diagonal value (the condition is homogeneous in the overall
-    amplitude scale), with an absolute floor when the diagonal vanishes.
+    the largest diagonal value, so the verdict does not depend on the
+    overall amplitude scale; it must be finite and non-negative.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown consistency mode {mode!r}")
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
-    histories = history_set_for_partition(model, partition).histories
-    branches = [class_operator_apply(model, h, model.psi) for h in histories]
-    m = len(histories)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            # D(h_i, h_j) = <C_{h_j} psi | C_{h_i} psi>
-            gram[i, j] = np.vdot(branches[j], branches[i])
-    max_diag = float(np.max(gram.diagonal().real))
-    tolerance_used = tolerance * max_diag if max_diag > 0.0 else TOLERANCE_FLOOR
-    max_violation = 0.0
-    offending: tuple[History, History] | None = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            value = complex(gram[i, j])
-            violation = abs(value) if mode == MODE_MEDIUM else abs(value.real)
-            if violation > max_violation:
-                max_violation = violation
-                offending = (histories[i], histories[j])
-    consistent = bool(max_violation <= tolerance_used)
-    return ConsistencyReport(
-        mode=mode,
-        consistent=consistent,
-        max_violation=max_violation,
-        offending_pair=None if consistent else offending,
-        tolerance_used=tolerance_used,
-    )
+    consistent, _, violation, _, pair, tolerance_used = _verdict(model, partition, mode, tolerance)
+    offending = None
+    if not consistent:
+        offending = tuple(_history_label(model.scenario, partition.groups[g], DETECTED) for g in pair)
+    return ConsistencyReport(mode, consistent, violation, offending, tolerance_used)
 
 
 def history_probabilities(
@@ -330,47 +302,14 @@ def history_probabilities(
     partition: Partition,
     mode: str = MODE_MEDIUM,
     tolerance: float = DEFAULT_TOLERANCE,
-) -> ProbabilityTable:
-    """Diagonal decoherence values as probabilities, refused unless the
-    partition passes consistency."""
-    report = check_consistency(model, partition, mode=mode, tolerance=tolerance)
-    if not report.consistent:
+) -> Framework:
+    """The partition as a framework: its diagonal decoherence values as
+    probabilities, keyed by (group, branch), refused unless the partition
+    passes consistency."""
+    verdict = _verdict(model, partition, mode, tolerance)
+    if not verdict[0]:
         raise InconsistentSet(
             f"partition is not a consistent set in {mode} mode: "
-            f"max violation {report.max_violation:.3e} exceeds tolerance {report.tolerance_used:.3e}"
+            f"max violation {verdict[2]:.3e} exceeds tolerance {verdict[5]:.3e}"
         )
-    table: dict[tuple[frozenset[int], str], float] = {}
-    for branch in BRANCHES:
-        p_branch = model.branch_projector(branch)
-        for group in partition.groups:
-            history = History(chain=(model.group_projector(group), p_branch))
-            value = decoherence_functional(model, history, history)
-            table[(group, branch)] = value.real
-    return ProbabilityTable(probabilities=table, report=report)
-
-
-def conditional_probability(
-    model: ExperimentModel,
-    partition: Partition,
-    group: Iterable[int],
-    given: str = DETECTED,
-    mode: str = MODE_MEDIUM,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> float:
-    """Probability of a group union, conditioned on detection.
-
-    ``group`` must be a union of the partition's groups; conditioning on an
-    event of (numerically) zero probability is refused.
-    """
-    if given != DETECTED:
-        raise ValueError("conditioning is only supported on the detected branch")
-    event = frozenset(group)
-    table = history_probabilities(model, partition, mode=mode, tolerance=tolerance)
-    covered = [g for g in partition.groups if g <= event]
-    union = frozenset().union(*covered) if covered else frozenset()
-    if union != event:
-        raise NotInPartition("event is not a union of the partition's groups")
-    p_detected = table.detected_total()
-    if p_detected <= NULL_CONDITION:
-        raise ConditionUnsatisfied("detection has zero probability; conditioning undefined")
-    return sum(table.probabilities[(g, DETECTED)] for g in covered) / p_detected
+    return _framework(partition, mode, verdict)

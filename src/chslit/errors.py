@@ -51,10 +51,6 @@ class ConditionUnsatisfied(ChslitError):
     """Conditioning event has (numerically) zero probability."""
 
 
-class NotInPartition(ChslitError):
-    """Queried event is not a union of the partition's groups."""
-
-
 # -- framework enumeration and queries ---------------------------------------
 
 class TooLarge(ChslitError):
@@ -64,6 +60,10 @@ class TooLarge(ChslitError):
 class NotInFramework(ChslitError):
     """Event not expressible in the framework; the single-framework rule
     forbids assigning it a probability here."""
+
+
+#: The same error, under the name ``conditional_probability`` first raised.
+NotInPartition = NotInFramework
 
 
 class MeaninglessCombination(ChslitError):

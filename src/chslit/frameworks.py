@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Sequence
 
 from .core import Partition
 from .engine import (
@@ -20,16 +20,16 @@ from .engine import (
     UNDETECTED,
     DEFAULT_TOLERANCE,
     MODE_MEDIUM,
-    MODES,
     NULL_CONDITION,
-    TOLERANCE_FLOOR,
-    ConsistencyReport,
     ExperimentModel,
+    Framework,
+    _check_mode_and_tolerance,
+    _decide,
+    _framework,
     history_probabilities,
 )
 from .errors import (
     ConditionUnsatisfied,
-    InconsistentSet,
     MeaninglessCombination,
     NotInFramework,
     TooLarge,
@@ -43,20 +43,6 @@ CERTAINTY_THRESHOLD = 1.0 - 1e-10
 
 #: An event this close to probability zero counts as null in a record.
 NULL_THRESHOLD = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class Framework:
-    """A consistent partition with its probability table: the unit of valid
-    inference about which path a particle took."""
-
-    partition: Partition
-    mode: str
-    probabilities: Mapping[tuple[frozenset[int], str], float]
-    report: ConsistencyReport
-
-    def detected_total(self) -> float:
-        return sum(p for (_, branch), p in self.probabilities.items() if branch == DETECTED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +85,14 @@ def _iter_rgs(n: int) -> Iterator[list[int]]:
             prefix_max[j] = new_max
 
 
-def _partition_from_code(code: list[int]) -> Partition:
+def _partition_from_code(code: list[int], items: Sequence[int]) -> Partition:
+    """The partition of ``items`` that puts ``items[j]`` in group ``code[j]``."""
     groups: list[list[int]] = []
-    for index, g in enumerate(code):
+    for item, g in zip(items, code):
         if g == len(groups):
-            groups.append([index])
+            groups.append([item])
         else:
-            groups[g].append(index)
+            groups[g].append(item)
     return Partition(tuple(frozenset(g) for g in groups))
 
 
@@ -120,7 +107,7 @@ def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_PATHS) -> Iterator[Par
         raise ValueError("partition enumeration needs at least one path")
     if n > max_n:
         raise TooLarge(f"{n} paths exceeds the enumeration cap of {max_n}")
-    return (_partition_from_code(code) for code in _iter_rgs(n))
+    return (_partition_from_code(code, range(n)) for code in _iter_rgs(n))
 
 
 def build_framework(
@@ -133,8 +120,7 @@ def build_framework(
 
     Raises InconsistentSet when the partition fails consistency.
     """
-    table = history_probabilities(model, partition, mode=mode, tolerance=tolerance)
-    return Framework(partition=partition, mode=mode, probabilities=table.probabilities, report=table.report)
+    return history_probabilities(model, partition, mode=mode, tolerance=tolerance)
 
 
 def enumerate_consistent_frameworks(
@@ -143,78 +129,54 @@ def enumerate_consistent_frameworks(
     tolerance: float = DEFAULT_TOLERANCE,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> list[Framework]:
-    """All partitions of the open paths that form consistent sets.
+    """All partitions of the open paths that form consistent sets, coarsest
+    first.
 
-    Candidates are screened with the closed-form decoherence values (reusing
-    per-group amplitude sums across the stream), then every survivor is
-    re-checked on the explicit model before it becomes a framework, so the
-    result matches a brute-force filter over ``check_consistency``.
+    A depth-first walk places the open paths one at a time, into each
+    existing group and then into a new one, in the order of
+    :func:`enumerate_partitions`.  It keeps the group amplitude sums in a
+    reused buffer, saving a sum before adding to it and restoring it after,
+    so every partition's sums equal a fresh left-to-right accumulation bit
+    for bit.  Each complete partition is judged by the engine's closed-form
+    kernel, the one behind ``check_consistency``; only survivors allocate.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown consistency mode {mode!r}")
-    scenario = model.scenario
-    open_indices = scenario.open_indices
+    _check_mode_and_tolerance(mode, tolerance)
+    open_indices = model.open_indices
     k = len(open_indices)
     if k > max_paths:
         raise TooLarge(f"{k} open paths exceeds the enumeration cap of {max_paths}")
-    amps = [scenario.amplitudes[i] for i in open_indices]
-    norm_sq = sum(abs(a) ** 2 for a in scenario.amplitudes)
-    scale = 1.0 / (k * norm_sq)
-    medium = mode == MODE_MEDIUM
-
-    survivors: list[Partition] = []
+    amps = [model.amplitudes[i] for i in open_indices]
+    scale = model.scale
+    frameworks: list[Framework] = []
     sums: list[complex] = [0j] * k
     counts: list[int] = [0] * k
-    for code in _iter_rgs(k):
-        n_groups = 0
-        for position in range(k):
-            g = code[position]
-            if g >= n_groups:
-                n_groups = g + 1
-                sums[g] = amps[position]
-                counts[g] = 1
-            else:
-                sums[g] += amps[position]
-                counts[g] += 1
-        max_diag = 0.0
-        largest = 0.0
-        second = 0.0
-        for g in range(n_groups):
-            mag = abs(sums[g])
-            if mag > largest:
-                second = largest
-                largest = mag
-            elif mag > second:
-                second = mag
-            detected_diag = mag * mag * scale
-            undetected_diag = counts[g] / k - detected_diag
-            if detected_diag > max_diag:
-                max_diag = detected_diag
-            if undetected_diag > max_diag:
-                max_diag = undetected_diag
-        if medium:
-            violation = largest * second * scale
-        else:
-            violation = 0.0
-            for a in range(n_groups):
-                ca = sums[a].conjugate()
-                for b in range(a + 1, n_groups):
-                    real_part = abs((ca * sums[b]).real) * scale
-                    if real_part > violation:
-                        violation = real_part
-        threshold = tolerance * max_diag if max_diag > 0.0 else TOLERANCE_FLOOR
-        if violation <= threshold:
-            groups: list[list[int]] = [[] for _ in range(n_groups)]
-            for position in range(k):
-                groups[code[position]].append(open_indices[position])
-            survivors.append(Partition(tuple(frozenset(g) for g in groups)))
+    code: list[int] = [0] * k
 
-    frameworks = []
-    for partition in survivors:
-        try:
-            frameworks.append(build_framework(model, partition, mode=mode, tolerance=tolerance))
-        except InconsistentSet:  # pragma: no cover - screen and model agree to ~1e-15
-            continue
+    def place(position: int, n_groups: int) -> None:
+        amp = amps[position]
+        for g in range(n_groups + 1):
+            if g < n_groups:
+                saved = sums[g]
+                sums[g] = saved + amp
+                counts[g] += 1
+                grown = n_groups
+            else:
+                sums[g] = amp
+                counts[g] = 1
+                grown = n_groups + 1
+            code[position] = g
+            if position + 1 < k:
+                place(position + 1, grown)
+            else:
+                verdict = _decide(sums, counts, grown, k, scale, mode, tolerance)
+                if verdict[0]:
+                    partition = _partition_from_code(code, open_indices)
+                    frameworks.append(_framework(partition, mode, verdict))
+            if g < n_groups:
+                sums[g] = saved
+                counts[g] -= 1
+
+    place(0, 0)
     return frameworks
 
 
@@ -239,6 +201,22 @@ def query_event(framework: Framework, event: frozenset[int] | set[int], given_de
     if total <= NULL_CONDITION:
         raise ConditionUnsatisfied("detection has zero probability; conditioning undefined")
     return detected_sum / total
+
+
+def conditional_probability(
+    model: ExperimentModel,
+    partition: Partition,
+    group: Iterable[int],
+    given: str = DETECTED,
+    mode: str = MODE_MEDIUM,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> float:
+    """Probability of a group union in the partition's framework, conditioned
+    on detection."""
+    if given != DETECTED:
+        raise ValueError("conditioning is only supported on the detected branch")
+    framework = build_framework(model, partition, mode=mode, tolerance=tolerance)
+    return query_event(framework, frozenset(group), given_detected=True)
 
 
 def combine_queries(framework_a: Framework, framework_b: Framework) -> Framework:
@@ -290,6 +268,16 @@ def _certain_and_null_events(
     return certain, null
 
 
+def _clashes(kind: str, framework_a: Framework, framework_b: Framework, events_a, events_b, clash) -> list[ContradictionRecord]:
+    """A record for each event of ``events_a`` that clashes with one of ``events_b``."""
+    return [
+        ContradictionRecord(kind, framework_a, framework_b, event_a, event_b, p_a, p_b)
+        for event_a, p_a in events_a
+        for event_b, p_b in events_b
+        if clash(event_a, event_b)
+    ]
+
+
 def find_contradictions(
     model: ExperimentModel,
     mode: str = MODE_MEDIUM,
@@ -304,56 +292,10 @@ def find_contradictions(
     another framework's null event.
     """
     frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance, max_paths=max_paths)
-    events = [_certain_and_null_events(f) for f in frameworks]
+    judged = [(f, events) for f in frameworks if (events := _certain_and_null_events(f)) is not None]
     records: list[ContradictionRecord] = []
-    for a in range(len(frameworks)):
-        if events[a] is None:
-            continue
-        certain_a, null_a = events[a]
-        for b in range(a + 1, len(frameworks)):
-            if events[b] is None:
-                continue
-            certain_b, null_b = events[b]
-            for event_a, p_a in certain_a:
-                for event_b, p_b in certain_b:
-                    if not event_a & event_b:
-                        records.append(
-                            ContradictionRecord(
-                                kind="disjoint-certainty",
-                                framework_a=frameworks[a],
-                                framework_b=frameworks[b],
-                                event_a=event_a,
-                                event_b=event_b,
-                                p_a=p_a,
-                                p_b=p_b,
-                            )
-                        )
-            for event_a, p_a in certain_a:
-                for event_b, p_b in null_b:
-                    if event_a <= event_b:
-                        records.append(
-                            ContradictionRecord(
-                                kind="implication-violation",
-                                framework_a=frameworks[a],
-                                framework_b=frameworks[b],
-                                event_a=event_a,
-                                event_b=event_b,
-                                p_a=p_a,
-                                p_b=p_b,
-                            )
-                        )
-            for event_b, p_b in certain_b:
-                for event_a, p_a in null_a:
-                    if event_b <= event_a:
-                        records.append(
-                            ContradictionRecord(
-                                kind="implication-violation",
-                                framework_a=frameworks[b],
-                                framework_b=frameworks[a],
-                                event_a=event_b,
-                                event_b=event_a,
-                                p_a=p_b,
-                                p_b=p_a,
-                            )
-                        )
+    for (fa, (certain_a, null_a)), (fb, (certain_b, null_b)) in itertools.combinations(judged, 2):
+        records += _clashes("disjoint-certainty", fa, fb, certain_a, certain_b, frozenset.isdisjoint)
+        records += _clashes("implication-violation", fa, fb, certain_a, null_b, frozenset.issubset)
+        records += _clashes("implication-violation", fb, fa, certain_b, null_a, frozenset.issubset)
     return records

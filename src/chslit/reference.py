@@ -1,0 +1,153 @@
+"""The model in explicit Hilbert-space form: the oracle for the closed form.
+
+A history is a chain of projectors, one per time step, and its class
+operator ``C_h`` is their time-ordered product.  The decoherence functional
+of two histories ``h``, ``h2`` is the inner product of their branch vectors,
+``<C_h2 psi | C_h psi>``.  Here the projectors are dense matrices over the
+path basis, built from the model's defining rules; ``chslit.engine``
+decides every verdict from the closed form instead, and the tests check the
+two against each other.
+
+This is the only module that imports numpy.  ``import chslit`` loads it
+when one of its names, or a dense member of an ``ExperimentModel``, is
+first used.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from .core import Partition
+from .engine import BRANCHES, ExperimentModel, _history_label
+from .errors import BadIndex, DimensionMismatch
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class History:
+    """A chain of projectors, one per time step, earliest first."""
+
+    chain: tuple[np.ndarray, ...]
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "chain", tuple(self.chain))
+
+
+@dataclass(frozen=True, eq=False)
+class HistorySet:
+    """Histories sharing a chain length, with the projector family used at
+    each time step."""
+
+    histories: tuple[History, ...]
+    step_families: tuple[tuple[np.ndarray, ...], ...]
+
+    def validate(self, atol: float = 1e-10) -> None:
+        """Check each step family sums to the identity and is orthogonal."""
+        for step, family in enumerate(self.step_families):
+            n = family[0].shape[0]
+            total = sum(family[1:], family[0].copy())
+            if not np.allclose(total, np.eye(n), atol=atol):
+                raise ValueError(f"projector family at step {step} does not sum to identity")
+            for i in range(len(family)):
+                for j in range(i + 1, len(family)):
+                    if not np.allclose(family[i] @ family[j], 0.0, atol=atol):
+                        raise ValueError(f"projectors {i} and {j} at step {step} are not orthogonal")
+
+
+# -- the dense members of ExperimentModel ---------------------------------------
+
+
+def initial_state(model: ExperimentModel) -> np.ndarray:
+    """1/sqrt(k) on each of the k open paths."""
+    psi = np.zeros(model.dimension, dtype=complex)
+    psi[list(model.open_indices)] = 1.0 / np.sqrt(len(model.open_indices))
+    return _frozen(psi)
+
+
+def detector_direction(model: ExperimentModel) -> np.ndarray:
+    """conj(A)/|A| over all paths (the model's amplitudes are A rescaled)."""
+    amps = np.array(model.amplitudes, dtype=complex)
+    return _frozen(amps.conj() / np.linalg.norm(amps))
+
+
+def detection_projector(model: ExperimentModel) -> np.ndarray:
+    return _frozen(np.outer(model.detector, model.detector.conj()))
+
+
+def non_detection_projector(model: ExperimentModel) -> np.ndarray:
+    return _frozen(np.eye(model.dimension, dtype=complex) - model.projector_detected)
+
+
+def group_projector(model: ExperimentModel, group: Iterable[int]) -> np.ndarray:
+    p = np.zeros((model.dimension, model.dimension), dtype=complex)
+    for index in group:
+        model.scenario.check_index(index)
+        p[index, index] = 1.0
+    return _frozen(p)
+
+
+# -- histories ------------------------------------------------------------------
+
+
+def class_operator_apply(model: ExperimentModel, history: History, vector: np.ndarray) -> np.ndarray:
+    """Apply the history's class operator: earliest projector first."""
+    v = np.asarray(vector, dtype=complex)
+    for projector in history.chain:
+        p = np.asarray(projector)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise DimensionMismatch(f"projector of shape {p.shape} is not square")
+        if p.shape[1] != v.shape[0]:
+            raise DimensionMismatch(
+                f"projector of shape {p.shape} cannot act on a vector of length {v.shape[0]}"
+            )
+        v = p @ v
+    return v
+
+
+def decoherence_functional(model: ExperimentModel, h: History, h2: History) -> complex:
+    """Decoherence-functional value ``<C_h2 psi | C_h psi>``.
+
+    Hermitian in its arguments; the diagonal is real and non-negative up to
+    rounding.
+    """
+    if len(h.chain) != len(h2.chain):
+        raise DimensionMismatch("histories must share a chain length")
+    branch = class_operator_apply(model, h, model.psi)
+    branch2 = class_operator_apply(model, h2, model.psi)
+    return complex(np.vdot(branch2, branch))
+
+
+def history_set_for_partition(model: ExperimentModel, partition: Partition) -> HistorySet:
+    """The 2 * len(partition) histories: each group, then detected or not.
+
+    When some paths are closed, the slit-time projector family is completed
+    with the projector onto the closed subspace, so the family stays
+    exhaustive; no history uses it, and it carries no initial weight.
+    """
+    open_set = frozenset(model.open_indices)
+    if partition.universe != open_set:
+        raise BadIndex("partition must cover exactly the scenario's open paths")
+    group_projectors = [model.group_projector(g) for g in partition.groups]
+    histories = []
+    for branch in BRANCHES:
+        p_branch = model.branch_projector(branch)
+        for g, p_group in zip(partition.groups, group_projectors):
+            label = _history_label(model.scenario, g, branch)
+            histories.append(History(chain=(p_group, p_branch), label=label))
+    slit_family = list(group_projectors)
+    closed = frozenset(range(model.dimension)) - open_set
+    if closed:
+        slit_family.append(model.group_projector(closed))
+    families = (
+        tuple(slit_family),
+        (model.projector_detected, model.projector_undetected),
+    )
+    return HistorySet(histories=tuple(histories), step_families=families)

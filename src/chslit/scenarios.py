@@ -21,8 +21,8 @@ so path indices stay stable.
 from __future__ import annotations
 
 import json
-import math
 import random
+import sys
 from typing import Iterable
 
 from .core import Slit, SlitPart, SlitScenario
@@ -49,7 +49,8 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 def _number(value: object, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    _require(math.isfinite(value), path, "must be finite")
+    # A comparison, not math.isfinite: integer literals may exceed the double range.
+    _require(abs(value) <= sys.float_info.max, path, "must be finite")
     return float(value)
 
 
@@ -78,6 +79,8 @@ def load_scenario(data: str | bytes) -> SlitScenario:
         doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"scenario document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("scenario document is nested too deeply") from None
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _require("version" in doc, "version", "missing field")
     _require(doc["version"] == SCHEMA_VERSION, "version", f"expected {SCHEMA_VERSION}, got {doc['version']!r}")

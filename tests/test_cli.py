@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import chslit
 from chslit import (
     build_experiment,
     builtin_scenario,
@@ -326,3 +333,110 @@ def test_json_reports_share_the_envelope(capsys):
         report = json.loads(out)
         assert set(report) == {"kind", "scenario", "mode", "tolerance", "payload"}
         assert report["scenario"] == "three-slit-contradiction"
+
+
+# -- tolerance and caps ------------------------------------------------------------------
+
+
+def test_zero_tolerance_keeps_the_exact_cancellations(capsys):
+    # The detected/undetected cross entries vanish analytically, so --tol 0
+    # must not reject the coarsest partition or the two cancelling splits.
+    code, out, _ = run(capsys, "frameworks", *DEMO, "--tol", "0")
+    assert code == 0
+    assert "consistent frameworks: 3" in out
+    code, out, _ = run(capsys, "check", *DEMO, "--partition", "1,2,3", "--tol", "0")
+    assert code == 0
+    assert "max violation: 0" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", *DEMO, "--partition", "1,2,3", "--tol", "nan"],
+        ["check", *DEMO, "--partition", "1,2,3", "--tol", "inf"],
+        ["check", *DEMO, "--partition", "1,2,3", "--tol", "-1e-10"],
+        ["check", *DEMO, "--partition", "1,2,3", "--tol", "tiny"],
+        ["frameworks", *DEMO, "--tol", "nan"],
+        ["contradictions", *DEMO, "--tol", "-inf"],
+        ["query", *DEMO, "--framework", "1,2|3", "--event", "3", "--tol", "nan"],
+        ["frameworks", *DEMO, "--max-n", "0"],
+        ["contradictions", *DEMO, "--max-n", "-3"],
+        ["frameworks", *DEMO, "--max-n", "two"],
+    ],
+)
+def test_bad_tolerance_or_cap_flag_is_one_line_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("chslit: error: argument --")
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "1.5"])
+def test_cap_environment_variable_must_be_at_least_one(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CH_MAX_PATHS", raw)
+    code, out, err = run(capsys, "frameworks", *DEMO)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "CH_MAX_PATHS" in err
+
+
+# -- amplitude scale ---------------------------------------------------------------------
+
+
+def _paradox_file(tmp_path, scale):
+    slits = [
+        {"label": f"S{i + 1}", "amplitude": {"re": a * scale, "im": 0.0}, "open": True}
+        for i, a in enumerate([1.0, -1.0, 1.0])
+    ]
+    path = tmp_path / f"paradox-{scale:g}.json"
+    path.write_text(json.dumps({"version": 1, "name": "paradox", "slits": slits}))
+    return str(path)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, -1e300, 5e-324])
+def test_extreme_amplitude_scales_give_the_unit_scale_output(capsys, tmp_path, scale):
+    unit, scaled = _paradox_file(tmp_path, 1.0), _paradox_file(tmp_path, scale)
+    commands = [
+        ["check", "--partition", "1,2|3"],
+        ["check", "--partition", "1,3|2"],
+        ["check", "--partition", "1|2|3", "--mode", "weak"],
+        ["frameworks"],
+        ["frameworks", "--tol", "0"],
+        ["query", "--framework", "1,2|3", "--event", "3", "--given-detected"],
+        ["query", "--framework", "1|2,3", "--event", "2,3", "--given-detected"],
+        ["contradictions"],
+    ]
+    for command in commands:
+        expected = run(capsys, *command, "--file", unit)
+        assert run(capsys, *command, "--file", scaled) == expected, command
+
+
+def test_rates_too_large_for_a_float_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "rates", "--file", _paradox_file(tmp_path, 1e200), "--mask", "1,2,3")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "too large" in err
+    # Each single rate fits a float, their sum does not.
+    slits = [{"label": f"S{i}", "amplitude": {"re": a, "im": 0.0}, "open": True} for i, a in ((1, 1.2e154), (2, -1.2e154))]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"version": 1, "name": "huge", "slits": slits}))
+    code, out, err = run(capsys, "rates", "--file", str(path), "--all-single")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "too large" in err
+
+
+# -- packaging ----------------------------------------------------------------------------
+
+
+def test_every_command_runs_without_numpy():
+    script = (
+        "import sys, chslit.cli\n"
+        "demo = ['--demo', 'three-slit-contradiction']\n"
+        "for argv in (['check', *demo, '--partition', '1,2|3'], ['frameworks', *demo],\n"
+        "             ['query', *demo, '--framework', '1,2|3', '--event', '3', '--given-detected'],\n"
+        "             ['contradictions', *demo], ['rates', *demo, '--mask', '1,2']):\n"
+        "    assert chslit.cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chslit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -37,6 +37,8 @@ from chslit import (
     parse_partition,
 )
 from conftest import make_scenario, random_partition, random_scenario
+from chslit import enumerate_consistent_frameworks, find_contradictions, format_partition
+from conftest import partition_gram
 
 THREE_SLIT = make_scenario([1, -1, 1])
 SPLIT_12_3 = parse_partition("1,2|3", 3)
@@ -513,3 +515,91 @@ def test_coarse_graining_additivity_on_weakly_consistent_partitions():
             split_p = fine[(partition.groups[i], branch)] + fine[(partition.groups[j], branch)]
             assert abs(merged_p - split_p) < 1e-10
         checked += 1
+
+
+# -- the closed-form kernel against the dense model -------------------------------------
+
+
+def test_kernel_numbers_equal_the_dense_gram_matrix():
+    rng = random.Random(1984)
+    for _ in range(60):
+        scenario = random_scenario(rng, kind=rng.choice(["generic", "planted", "sparse", "mixed-open"]))
+        if not scenario.open_indices or all(a == 0 for a in scenario.amplitudes):
+            continue
+        model = build_experiment(scenario)
+        partition = random_partition(rng, scenario.open_indices)
+        gram = partition_gram(model, partition.groups)
+        m = len(gram)
+        max_diag = max(gram[i][i].real for i in range(m))
+        labels = [h.label for h in history_set_for_partition(model, partition).histories]
+        for mode in ("medium", "weak"):
+            off = {
+                (labels[i], labels[j]): abs(gram[i][j]) if mode == "medium" else abs(gram[i][j].real)
+                for i in range(m)
+                for j in range(i + 1, m)
+            }
+            worst = max(off.values(), default=0.0)
+            report = check_consistency(model, partition, mode=mode)
+            assert abs(report.max_violation - worst) < 1e-12
+            assert abs(report.tolerance_used - 1e-10 * max_diag) < 1e-20
+            assert report.consistent == (worst <= 1e-10 * max_diag)
+            if not report.consistent:
+                assert abs(off[report.offending_pair] - worst) < 1e-12
+                continue
+            table = history_probabilities(model, partition, mode=mode).probabilities
+            keys = [(g, branch) for branch in (DETECTED, UNDETECTED) for g in partition.groups]
+            for i, key in enumerate(keys):
+                assert abs(table[key] - gram[i][i].real) < 1e-12
+
+
+# -- the tolerance contract and the amplitude range --------------------------------------
+
+
+def test_zero_tolerance_keeps_exact_cancellations():
+    # The dense model leaves ~4e-17 in the analytically zero cross entries.
+    model = build_experiment(THREE_SLIT)
+    frameworks = enumerate_consistent_frameworks(model, tolerance=0.0)
+    assert [format_partition(f.partition) for f in frameworks] == ["1,2,3", "1,2|3", "1|2,3"]
+    report = check_consistency(model, parse_partition("1,2,3", 3), tolerance=0.0)
+    assert report.consistent and report.max_violation == 0.0
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1e-12, float("inf")])
+def test_tolerance_must_be_finite_and_non_negative(tolerance):
+    model = build_experiment(THREE_SLIT)
+    with pytest.raises(ValueError):
+        check_consistency(model, SPLIT_12_3, tolerance=tolerance)
+    with pytest.raises(ValueError):
+        history_probabilities(model, SPLIT_12_3, tolerance=tolerance)
+    with pytest.raises(ValueError):
+        enumerate_consistent_frameworks(model, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300, complex(0.6, -0.8) * 1e250])
+def test_results_hold_across_the_double_range(scale):
+    rng = random.Random(31337)
+    for _ in range(10):
+        scenario = random_scenario(rng, n=rng.randint(2, 5), kind=rng.choice(["generic", "planted", "sparse", "mixed-open"]))
+        if not scenario.open_indices or all(a == 0 for a in scenario.amplitudes):
+            continue
+        scaled = make_scenario(
+            [a * scale for a in scenario.amplitudes], open_flags=[p.is_open for p in scenario.paths]
+        )
+        model, scaled_model = build_experiment(scenario), build_experiment(scaled)
+        for mode in ("medium", "weak"):
+            original = enumerate_consistent_frameworks(model, mode=mode)
+            rescaled = enumerate_consistent_frameworks(scaled_model, mode=mode)
+            assert [f.partition for f in original] == [f.partition for f in rescaled]
+            for fa, fb in zip(original, rescaled):
+                for key, p in fa.probabilities.items():
+                    assert abs(fb.probabilities[key] - p) < 1e-12
+        signature = lambda r: (r.kind, r.framework_a.partition, r.event_a, r.framework_b.partition, r.event_b)
+        assert {signature(r) for r in find_contradictions(model)} == {
+            signature(r) for r in find_contradictions(scaled_model)
+        }
+
+
+def test_tiny_amplitudes_are_not_degenerate():
+    model = build_experiment(make_scenario([5e-324, -5e-324, 5e-324]))
+    assert check_consistency(model, SPLIT_12_3, tolerance=0.0).consistent
+    assert conditional_probability(model, SPLIT_12_3, {2}) == 1.0

@@ -236,3 +236,34 @@ def test_footnote_retrodictions_clash_through_the_engine():
     assert conditional_probability(model, coarse, {3}) == pytest.approx(1.0, abs=1e-12)
     # ... but splitting the other way makes it surely via S2.upper.
     assert conditional_probability(model, fine, {1}) == pytest.approx(1.0, abs=1e-12)
+
+
+# -- hostile documents ----------------------------------------------------------------
+
+
+def test_integer_literal_beyond_the_double_range_is_a_schema_error(tmp_path, capsys):
+    from chslit.cli import main
+
+    text = THREE_SLIT_DOC.replace('"re": -1.0', '"re": -' + "9" * 400, 1)
+    with pytest.raises(SchemaError) as excinfo:
+        load_scenario(text)
+    assert excinfo.value.field_path == "slits[1].amplitude.re"
+    assert "finite" in str(excinfo.value)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["frameworks", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "must be finite" in err
+
+
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    from chslit.cli import main
+
+    text = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ParseError):
+        load_scenario(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["check", "--file", str(path), "--partition", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "nested too deeply" in err
