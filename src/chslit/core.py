@@ -23,7 +23,8 @@ from .errors import (
     PartSumMismatch,
 )
 
-#: Absolute tolerance for sub-part amplitudes summing to the slit amplitude.
+#: Tolerance for sub-part amplitudes summing to the slit amplitude, relative
+#: to the largest modulus among the slit amplitude and its parts.
 PART_SUM_TOLERANCE = 1e-12
 
 
@@ -32,6 +33,10 @@ def _require_finite(value: complex, what: str) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{what} must have finite components, got {z!r}")
     return z
+
+
+def _modulus(z: complex, unit: float) -> float:
+    return math.hypot(z.real / unit, z.imag / unit)
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,11 @@ class Slit:
             if len(set(labels)) != len(labels):
                 raise ValueError(f"slit {self.label!r} has duplicate part labels")
             total = sum((p.amplitude for p in self.parts), 0j)
-            if abs(total - self.amplitude) > PART_SUM_TOLERANCE:
+            values = [self.amplitude, *(p.amplitude for p in self.parts)]
+            # Moduli in units of the largest component, so none overflows.
+            unit = max(max(abs(z.real), abs(z.imag)) for z in values) or 1.0
+            size = max(_modulus(z, unit) for z in values)
+            if _modulus(total - self.amplitude, unit) > PART_SUM_TOLERANCE * size:
                 raise PartSumMismatch(
                     self.label,
                     f"parts of slit {self.label!r} sum to {total}, expected {self.amplitude}",
@@ -255,14 +264,18 @@ def _sum_amplitudes(scenario: SlitScenario, indices: Iterable[int]) -> complex:
     # fsum keeps the sum correctly rounded and independent of group order,
     # which is what makes disjoint groups add exactly.
     amps = [scenario.paths[i].amplitude for i in sorted(indices)]
-    return complex(math.fsum(a.real for a in amps), math.fsum(a.imag for a in amps))
+    try:
+        return complex(math.fsum(a.real for a in amps), math.fsum(a.imag for a in amps))
+    except OverflowError:
+        raise ValueError("amplitude sum is too large for a float") from None
 
 
 def group_amplitude(scenario: SlitScenario, group: Iterable[int]) -> complex:
     """Sum of path amplitudes over a group of open paths.
 
     Groups add exactly: the amplitude of a composite slit is the plain
-    complex sum of its members.  An empty group sums to zero.
+    complex sum of its members.  An empty group sums to zero; a sum too
+    large for a float raises ValueError.
     """
     members = frozenset(group)
     for index in members:

@@ -10,6 +10,7 @@ can retrodict, with certainty, that a detected particle took disjoint paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -35,7 +36,9 @@ from .errors import (
     TooLarge,
 )
 
-#: Default cap on open-path count for enumeration (Bell(12) = 4,213,597).
+#: Default cap on open-path count for enumeration: a guard, not a cost
+#: model.  The search keeps 2**k subset sums, and an input with few nonzero
+#: amplitudes has up to Bell(k) frameworks (Bell(12) = 4,213,597).
 DEFAULT_MAX_PATHS = 12
 
 #: An event this close to probability one counts as certain in a record.
@@ -129,55 +132,96 @@ def enumerate_consistent_frameworks(
     tolerance: float = DEFAULT_TOLERANCE,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> list[Framework]:
-    """All partitions of the open paths that form consistent sets, coarsest
-    first.
+    """All partitions of the open paths that form consistent sets, in the
+    order of :func:`enumerate_partitions`, coarsest first.
 
-    A depth-first walk places the open paths one at a time, into each
-    existing group and then into a new one, in the order of
-    :func:`enumerate_partitions`.  It keeps the group amplitude sums in a
-    reused buffer, saving a sum before adding to it and restoring it after,
-    so every partition's sums equal a fresh left-to-right accumulation bit
-    for bit.  Each complete partition is judged by the engine's closed-form
-    kernel, the one behind ``check_consistency``; only survivors allocate.
+    The diagonal is non-negative and sums to 1, so ``tol * max_diag <= tol``:
+    in medium mode every group but the largest has ``|c_G|^2 <= |c_1||c_2| <=
+    tol``, and in weak mode at most two groups have ``|c_G|^2 > 2 tol``
+    (three would lie pairwise more than 60 degrees apart as lines).
+
+    So each candidate is built once, from near-zero subsets plus at most one
+    carrier group (two in weak mode) that is not near-zero, and judged by the
+    engine's closed-form kernel.  Subset sums are accumulated left to right,
+    like every group sum, so the verdicts equal ``check_consistency``'s bit
+    for bit.  The cost follows the near-zero subsets and the frameworks
+    returned, plus a table of 2**k subset sums.
     """
     _check_mode_and_tolerance(mode, tolerance)
     open_indices = model.open_indices
     k = len(open_indices)
     if k > max_paths:
         raise TooLarge(f"{k} open paths exceeds the enumeration cap of {max_paths}")
-    amps = [model.amplitudes[i] for i in open_indices]
     scale = model.scale
-    frameworks: list[Framework] = []
-    sums: list[complex] = [0j] * k
-    counts: list[int] = [0] * k
-    code: list[int] = [0] * k
+    n_carriers = 1 if mode == MODE_MEDIUM else 2
+    # sums[S] for the open positions in bit mask S: the sum without the
+    # highest position, plus that position's amplitude.
+    sums = [0j]
+    for i in open_indices:
+        amp = model.amplitudes[i]
+        sums += [amp, *[s + amp for s in sums[1:]]]
+    # The slack absorbs rounding and the floor underflow.  Marking too many
+    # subsets near-zero only adds candidates; the kernel still decides.
+    bound = n_carriers * tolerance * (1.0 + 1e-9) + 1e-300
+    near = [mag * mag * scale <= bound for mag in map(abs, sums)]
+    # A partition's restricted growth string, read as a base-k number, sorts
+    # the frameworks; a group at slot g adds g times the weights of its
+    # positions.  starts[j] lists each near-zero subset whose lowest position
+    # is j, with its weight.
+    weights = [k ** (k - 1 - j) for j in range(k)]
+    starts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for mask in itertools.compress(range(1, 1 << k), near[1:]):
+        weight = sum(w for j, w in enumerate(weights) if mask >> j & 1)
+        starts[(mask & -mask).bit_length() - 1].append((mask, weight))
 
-    def place(position: int, n_groups: int) -> None:
-        amp = amps[position]
-        for g in range(n_groups + 1):
-            if g < n_groups:
-                saved = sums[g]
-                sums[g] = saved + amp
-                counts[g] += 1
-                grown = n_groups
-            else:
-                sums[g] = amp
-                counts[g] = 1
-                grown = n_groups + 1
-            code[position] = g
-            if position + 1 < k:
-                place(position + 1, grown)
-            else:
-                verdict = _decide(sums, counts, grown, k, scale, mode, tolerance)
-                if verdict[0]:
-                    partition = _partition_from_code(code, open_indices)
-                    frameworks.append(_framework(partition, mode, verdict))
-            if g < n_groups:
-                sums[g] = saved
-                counts[g] -= 1
+    sum_of = sums.__getitem__
 
-    place(0, 0)
-    return frameworks
+    @functools.cache
+    def group_of(mask: int) -> frozenset[int]:
+        return frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1)
+
+    found: list[tuple[int, Framework]] = []
+    # The groups placed so far as position masks, by lowest position; the
+    # carriers sit at the slots listed in ``carriers`` and may still grow.
+    slots: list[int] = []
+    carriers: list[int] = []
+
+    def extend(rest: int, key: int) -> None:
+        """Place the lowest of the unplaced positions ``rest``."""
+        if not rest:
+            for c in carriers:
+                if near[slots[c]]:
+                    return  # built elsewhere, with this carrier as a near-zero subset
+            sizes = [*map(int.bit_count, slots)]
+            verdict = _decide([*map(sum_of, slots)], sizes, len(slots), k, scale, mode, tolerance)
+            if verdict[0]:
+                partition = Partition(tuple(map(group_of, slots)))
+                found.append((key, _framework(partition, mode, verdict)))
+            return
+        low = rest & -rest
+        tail = rest ^ low
+        j = low.bit_length() - 1
+        for c in carriers:
+            slots[c] |= low
+            extend(tail, key + c * weights[j])
+            slots[c] ^= low
+        n = len(slots)
+        if len(carriers) < n_carriers:
+            carriers.append(n)
+            slots.append(low)
+            extend(tail, key + n * weights[j])
+            slots.pop()
+            carriers.pop()
+        for subset, weight in starts[j]:
+            if subset & rest == subset:
+                slots.append(subset)
+                extend(rest ^ subset, key + n * weight)
+                slots.pop()
+
+    extend((1 << k) - 1, 0)
+    del extend  # it refers to itself: free the tables now, not at the next cycle collection
+    found.sort(key=lambda item: item[0])
+    return [framework for _, framework in found]
 
 
 def query_event(framework: Framework, event: frozenset[int] | set[int], given_detected: bool = False) -> float:

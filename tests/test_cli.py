@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,24 @@ def test_frameworks_default_cap_blocks_thirteen_paths(capsys, tmp_path):
     code, _, err = run(capsys, "frameworks", "--file", str(path))
     assert code == 2
     assert "cap of 12" in err
+
+
+def test_frameworks_on_twenty_generic_paths_with_a_raised_cap(capsys, tmp_path):
+    rng = random.Random(20)
+    doc = {
+        "version": 1,
+        "name": "twenty",
+        "slits": [
+            {"label": f"S{i}", "amplitude": {"re": rng.uniform(-1, 1), "im": rng.uniform(-1, 1)}, "open": True}
+            for i in range(1, 21)
+        ],
+    }
+    path = tmp_path / "twenty.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "frameworks", "--file", str(path), "--max-n", "20", "--format", "json")
+    assert code == 0
+    frameworks = json.loads(out)["payload"]["frameworks"]
+    assert [f["partition"] for f in frameworks] == [",".join(str(i) for i in range(1, 21))]
 
 
 def test_frameworks_cap_from_environment(capsys, monkeypatch):

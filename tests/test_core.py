@@ -126,6 +126,18 @@ def test_part_sum_mismatch_is_rejected():
         Slit("S1", 1.0, parts=(SlitPart("a", 1.0), SlitPart("b", 1.0)))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_part_sum_tolerance_is_relative_to_the_amplitude_scale(scale):
+    # The rounding error of 0.1 + 0.2 passes at every scale; parts (1, 1)
+    # never sum to 0, however small.
+    slit = Slit("S1", 0.3 * scale, parts=(SlitPart("a", 0.1 * scale), SlitPart("b", 0.2 * scale)))
+    assert [p.amplitude for p in slit.parts] == [0.1 * scale, 0.2 * scale]
+    with pytest.raises(PartSumMismatch):
+        Slit("S1", 0.0, parts=(SlitPart("a", scale), SlitPart("b", scale)))
+    with pytest.raises(PartSumMismatch):
+        Slit("S1", 1.5e308 + 1.5e308j, parts=(SlitPart("a", 1.5e308 + 1.5e308j), SlitPart("b", 1.5e308j)))
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         SlitScenario(name="t", slits=(Slit("S1", 1.0), Slit("S1", 2.0)))
@@ -164,6 +176,12 @@ def test_group_amplitude_closed_path():
 def test_group_amplitude_bad_index():
     with pytest.raises(BadIndex):
         group_amplitude(THREE_SLIT, {7})
+
+
+def test_group_amplitude_too_large_for_a_float():
+    scenario = make_scenario([1.5e308, 1.5e308])
+    with pytest.raises(ValueError, match="too large for a float"):
+        group_amplitude(scenario, {0, 1})
 
 
 # Exact-arithmetic amplitudes: sums of bounded dyadic values never round,

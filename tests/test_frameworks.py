@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import cmath
 import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import chslit.frameworks
 from chslit import (
     ConditionUnsatisfied,
+    InconsistentSet,
     MeaninglessCombination,
     NotInFramework,
     Partition,
@@ -20,10 +24,12 @@ from chslit import (
     enumerate_partitions,
     find_contradictions,
     format_partition,
+    history_probabilities,
     parse_partition,
+    partition_on_paths,
     query_event,
 )
-from conftest import brute_consistent_partitions, make_scenario, random_scenario
+from conftest import brute_consistent_partitions, make_scenario, random_amplitudes, random_scenario
 
 THREE_SLIT = make_scenario([1, -1, 1])
 
@@ -108,6 +114,79 @@ def test_screened_enumeration_equals_brute_force():
             screened = {f.partition.groups for f in enumerate_consistent_frameworks(model, mode=mode)}
             brute = {p.groups for p in brute_consistent_partitions(model, mode=mode)}
             assert screened == brute
+
+
+def _family_scenario(rng: random.Random, kind: str, n: int):
+    """A random scenario of a conftest family, or ``c * (-1)**j`` for
+    ``alternating`` and ``c * i**j`` for ``quarter-turn``."""
+    if kind == "alternating":
+        c = random_amplitudes(rng, 1)[0]
+        return make_scenario([c * (-1) ** j for j in range(n)])
+    if kind == "quarter-turn":
+        c = random_amplitudes(rng, 1)[0]
+        return make_scenario([c * 1j**j for j in range(n)])
+    return random_scenario(rng, n=n, kind=kind)
+
+
+def _walk(model, mode, tolerance):
+    """The frameworks found by judging every partition, in stream order."""
+    frameworks = []
+    for positions in enumerate_partitions(model.scenario.n_open):
+        partition = partition_on_paths(model.scenario, positions)
+        try:
+            frameworks.append(history_probabilities(model, partition, mode=mode, tolerance=tolerance))
+        except InconsistentSet:
+            pass
+    return frameworks
+
+
+def _summary(framework):
+    report = framework.report
+    items = list(framework.probabilities.items())
+    return framework.partition, framework.mode, items, report.consistent, report.max_violation, report.tolerance_used
+
+
+@pytest.mark.parametrize("kind", ["generic", "planted", "sparse", "mixed-open", "alternating", "quarter-turn"])
+def test_enumeration_equals_a_walk_over_every_partition(kind):
+    # Same list, order, probabilities and reports, bit for bit.
+    rng = random.Random(f"walk:{kind}")
+    for n in (1, 2, 3, 4, 5, 6, 7) if kind != "quarter-turn" else (2, 4, 8):
+        scenario = _family_scenario(rng, kind, n)
+        model = build_experiment(scenario)
+        for mode in ("medium", "weak"):
+            for tolerance in (0.0, 1e-10, 1e-3, 0.3):
+                got = [_summary(f) for f in enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance)]
+                want = [_summary(f) for f in _walk(model, mode, tolerance)]
+                assert got == want, (kind, n, mode, tolerance)
+
+
+def test_weak_enumeration_keeps_three_small_groups_sixty_degrees_apart():
+    # Each of the three groups has |c_G|^2 = 1.05 tol, between tol and the
+    # 2 tol bound, and the pairwise real parts stay under tol * max_diag.
+    r = (7 * 4 * 1.05e-3 / (1 - 21 * 1.05e-3)) ** 0.5
+    scenario = make_scenario([r, 1, -1, 1, -1, r * cmath.exp(1j * cmath.pi / 3), r * cmath.exp(2j * cmath.pi / 3)])
+    model = build_experiment(scenario)
+    split = parse_partition("1,2,3,4,5|6|7", 7)
+    weak = enumerate_consistent_frameworks(model, mode="weak", tolerance=1e-3)
+    assert split in [f.partition for f in weak]
+    assert [_summary(f) for f in weak] == [_summary(f) for f in _walk(model, "weak", 1e-3)]
+    assert split not in [f.partition for f in enumerate_consistent_frameworks(model, tolerance=1e-3)]
+
+
+def test_generic_enumeration_makes_at_most_k_kernel_calls(monkeypatch):
+    # The walk over all partitions made Bell(12) = 4,213,597 calls here.
+    calls = []
+    decide = chslit.frameworks._decide
+
+    def counting(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(chslit.frameworks, "_decide", counting)
+    scenario = random_scenario(random.Random(12), n=12, kind="generic")
+    frameworks = enumerate_consistent_frameworks(build_experiment(scenario))
+    assert [f.partition for f in frameworks] == [Partition((frozenset(range(12)),))]
+    assert 1 <= len(calls) <= 12
 
 
 def test_coarsest_partition_always_consistent():
@@ -344,3 +423,32 @@ def test_scale_invariance_of_verdicts_conditionals_and_records():
         records = {_record_signature(r) for r in find_contradictions(model)}
         scaled_records = {_record_signature(r) for r in find_contradictions(scaled_model)}
         assert records == scaled_records
+
+
+_SCALED_FAMILIES = {
+    "alternating": lambda c, n: [c * (-1) ** j for j in range(n)],
+    "quarter-turn": lambda c, n: [c * 1j**j for j in range(n)],
+    "zero-pair": lambda c, n: [c * (-1) ** j for j in range(n - 2)] + [0.5 * c, -0.5 * c],
+    "single-nonzero": lambda c, n: [c] + [0j] * (n - 1),
+    "two-nonzero": lambda c, n: [0j] * (n - 2) + [c, 1j * c + c],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(_SCALED_FAMILIES)),
+    st.integers(2, 6),
+    st.floats(0.1, 2.0),
+    st.floats(-3.2, 3.2),
+    st.floats(-150.0, 150.0),
+    st.floats(-3.2, 3.2),
+)
+def test_framework_lists_of_structured_families_are_scale_invariant(kind, n, size, phase, exponent, turn):
+    amps = _SCALED_FAMILIES[kind](cmath.rect(size, phase), n)
+    factor = cmath.rect(10.0**exponent, turn)
+    model = build_experiment(make_scenario(amps))
+    scaled_model = build_experiment(make_scenario([a * factor for a in amps]))
+    for mode in ("medium", "weak"):
+        original = [f.partition for f in enumerate_consistent_frameworks(model, mode=mode)]
+        rescaled = [f.partition for f in enumerate_consistent_frameworks(scaled_model, mode=mode)]
+        assert original == rescaled

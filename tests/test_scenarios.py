@@ -83,6 +83,20 @@ def test_load_part_sum_mismatch_names_the_slit():
     assert excinfo.value.slit_label == "S2"
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_load_part_sum_check_is_relative_to_the_amplitude_scale(scale):
+    def doc(slit, parts):
+        parts = [{"label": f"p{j}", "amplitude": {"re": a, "im": 0.0}} for j, a in enumerate(parts)]
+        return json.dumps({"version": 1, "name": "parts", "slits": [
+            {"label": "S1", "amplitude": {"re": slit, "im": 0.0}, "open": True, "parts": parts},
+        ]})
+
+    scenario = load_scenario(doc(0.3 * scale, [0.1 * scale, 0.2 * scale]))
+    assert scenario.amplitudes == (0.1 * scale, 0.2 * scale)
+    with pytest.raises(PartSumMismatch):
+        load_scenario(doc(0.0, [scale, scale]))
+
+
 def test_load_rejects_malformed_json():
     with pytest.raises(ParseError):
         load_scenario("{not json")
