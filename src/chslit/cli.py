@@ -467,7 +467,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): that is not an input error.
+        # Point stdout at the null device so that the interpreter's final
+        # flush of what is still buffered does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (NotInFramework, MeaninglessCombination) as exc:
         _fail(f"single-framework rule: {exc}")
         return EXIT_FRAMEWORK_RULE

@@ -10,10 +10,11 @@ can retrodict, with certainty, that a detected particle took disjoint paths.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Partition
 from .engine import (
@@ -287,38 +288,100 @@ def combine_queries(framework_a: Framework, framework_b: Framework) -> Framework
     )
 
 
-def _certain_and_null_events(
-    framework: Framework,
-) -> tuple[list[tuple[frozenset[int], float]], list[tuple[frozenset[int], float]]] | None:
-    """Group-union events with conditional probability ~1 and ~0, or None
-    when detection itself is a null event."""
+#: Events of one framework as ``(path mask, event, probability)``.
+_Events = list[tuple[int, frozenset[int], float]]
+
+
+def _clash_summary(framework: Framework, mask_of: Callable[[frozenset[int]], int]):
+    """What bounds a framework's certain and null events, or None when
+    detection itself is a null event.
+
+    Returns ``(core, span, detected, total, masks)``: ``masks`` holds each
+    group as a bit mask of paths (``mask_of``) and ``detected`` its detected
+    probability.  An event's conditional probability is the sum of its
+    groups' terms in group order, divided once by ``total``, as in
+    :func:`query_event`.  Adding a non-negative term to such a sum never
+    lowers it, so certain events are closed upward and null events downward.
+    Hence every certain event contains ``core``, the paths of the groups G
+    for which "every group but G" is not certain, and every null event lies
+    inside ``span``, the paths of the groups that are null on their own.
+    When the whole universe is not certain, no event is, and ``core`` is the
+    universe.  The bounds use the same sums as the events, so they are exact.
+    """
     total = framework.detected_total()
     if total <= NULL_CONDITION:
         return None
     groups = framework.partition.groups
     detected = [framework.probabilities[(g, DETECTED)] for g in groups]
-    certain: list[tuple[frozenset[int], float]] = []
-    null: list[tuple[frozenset[int], float]] = []
-    for r in range(1, len(groups) + 1):
-        for combo in itertools.combinations(range(len(groups)), r):
-            event = frozenset().union(*(groups[i] for i in combo))
+    masks = [*map(mask_of, groups)]
+    core = sum(
+        m for g, m in enumerate(masks) if sum(detected[:g] + detected[g + 1 :]) / total < CERTAINTY_THRESHOLD
+    )
+    span = sum(m for m, p in zip(masks, detected) if p / total <= NULL_THRESHOLD)
+    return core, span, detected, total, masks
+
+
+def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Events, _Events]:
+    """The certain and the null group-union events of a summarised framework,
+    as ``(path mask, event(path mask), probability)`` in the order of the
+    unions' group tuples: by size, then lexicographically.
+
+    Certain events are the groups in ``core`` plus any others, null events
+    any groups inside ``span``.  Adding the same groups to every tuple keeps
+    their order, so both lists are in that order.
+    """
+    core, span, detected, total, masks = summary
+    fixed = [g for g, m in enumerate(masks) if m & core]
+    free = [g for g, m in enumerate(masks) if not m & core]
+    certain: _Events = []
+    for r in range(len(free) + 1):
+        for extra in itertools.combinations(free, r):
+            combo = sorted((*fixed, *extra))
             # Sum first, divide once: the same arithmetic as query_event, so
             # stored probabilities re-verify exactly.
-            p = sum(detected[i] for i in combo) / total
+            p = sum(detected[g] for g in combo) / total
             if p >= CERTAINTY_THRESHOLD:
-                certain.append((event, p))
-            elif p <= NULL_THRESHOLD:
-                null.append((event, p))
+                mask = sum(masks[g] for g in combo)
+                certain.append((mask, event(mask), p))
+    inside = [g for g, m in enumerate(masks) if m & span]
+    null: _Events = []
+    for r in range(1, len(inside) + 1):
+        for combo in itertools.combinations(inside, r):
+            p = sum(detected[g] for g in combo) / total
+            if p <= NULL_THRESHOLD:
+                mask = sum(masks[g] for g in combo)
+                null.append((mask, event(mask), p))
     return certain, null
 
 
-def _clashes(kind: str, framework_a: Framework, framework_b: Framework, events_a, events_b, clash) -> list[ContradictionRecord]:
-    """A record for each event of ``events_a`` that clashes with one of ``events_b``."""
+def _clash_kinds(key_a: tuple[int, int], key_b: tuple[int, int]) -> tuple[bool, bool, bool]:
+    """Which records two frameworks with these ``(core, span)`` can give:
+    disjoint certainties need disjoint cores, and a certain event of one
+    inside a null event of the other needs the one's core inside the other's
+    span.  Returns the three tests in record order."""
+    (core_a, span_a), (core_b, span_b) = key_a, key_b
+    return not core_a & core_b, not core_a & ~span_b, not core_b & ~span_a
+
+
+def _disjoint_certainties(
+    fa: Framework, fb: Framework, certain_a: _Events, certain_b: _Events
+) -> list[ContradictionRecord]:
+    """A record for each certain event of ``fa`` disjoint from one of ``fb``."""
     return [
-        ContradictionRecord(kind, framework_a, framework_b, event_a, event_b, p_a, p_b)
-        for event_a, p_a in events_a
-        for event_b, p_b in events_b
-        if clash(event_a, event_b)
+        ContradictionRecord("disjoint-certainty", fa, fb, ea, eb, pa, pb)
+        for ma, ea, pa in certain_a
+        for mb, eb, pb in certain_b
+        if not ma & mb
+    ]
+
+
+def _implications(fa: Framework, fb: Framework, certain_a: _Events, null_b: _Events) -> list[ContradictionRecord]:
+    """A record for each certain event of ``fa`` inside a null event of ``fb``."""
+    return [
+        ContradictionRecord("implication-violation", fa, fb, ea, eb, pa, pb)
+        for ma, ea, pa in certain_a
+        for mb, eb, pb in null_b
+        if not ma & ~mb
     ]
 
 
@@ -333,13 +396,52 @@ def find_contradictions(
     Events are unions of groups within each framework (the only events a
     framework can speak about), conditioned on detection.  Emits one record
     per disjoint pair of certainties and one per certain event contained in
-    another framework's null event.
+    another framework's null event.  Records come pair by pair in the order
+    of ``itertools.combinations`` over the frameworks; within a pair, the
+    disjoint certainties, then a's certainties in b's null events, then b's
+    in a's.
+
+    Frameworks are bucketed by the ``(core, span)`` of
+    :func:`_clash_summary`, and only pairs from buckets that pass
+    :func:`_clash_kinds` are visited, so the cost follows the pairs that can
+    clash, not all pairs.  A framework's events are tabulated when it first
+    sits in a visited pair; clashes are tested on path masks, and each
+    event set is built once per mask.
     """
     frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance, max_paths=max_paths)
-    judged = [(f, events) for f in frameworks if (events := _certain_and_null_events(f)) is not None]
+    mask_of = functools.cache(lambda group: sum(1 << i for i in group))
+    judged = [(f, summary) for f in frameworks if (summary := _clash_summary(f, mask_of)) is not None]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, (_, (core, span, *_)) in enumerate(judged):
+        buckets.setdefault((core, span), []).append(i)
+    # For each bucket, the buckets it can clash with: their members and the
+    # record kinds, seen from this bucket's side.
+    partners: dict[tuple[int, int], list[tuple[list[int], tuple[bool, bool, bool]]]] = {key: [] for key in buckets}
+    for key_a, key_b in itertools.combinations_with_replacement(buckets, 2):
+        disjoint, a_in_b, b_in_a = kinds = _clash_kinds(key_a, key_b)
+        if any(kinds):
+            partners[key_a].append((buckets[key_b], kinds))
+            if key_b != key_a:
+                partners[key_b].append((buckets[key_a], (disjoint, b_in_a, a_in_b)))
+
+    event = functools.cache(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
+    events = functools.cache(lambda i: _clash_events(judged[i][1], event))
     records: list[ContradictionRecord] = []
-    for (fa, (certain_a, null_a)), (fb, (certain_b, null_b)) in itertools.combinations(judged, 2):
-        records += _clashes("disjoint-certainty", fa, fb, certain_a, certain_b, frozenset.isdisjoint)
-        records += _clashes("implication-violation", fa, fb, certain_a, null_b, frozenset.issubset)
-        records += _clashes("implication-violation", fb, fa, certain_b, null_a, frozenset.issubset)
+    for i, (fa, (core, span, *_)) in enumerate(judged):
+        later = [
+            (j, kinds) for members, kinds in partners[core, span] for j in members[bisect.bisect_right(members, i) :]
+        ]
+        if not later:
+            continue
+        later.sort()
+        certain_a, null_a = events(i)
+        for j, (disjoint, a_in_b, b_in_a) in later:
+            fb = judged[j][0]
+            certain_b, null_b = events(j)
+            if disjoint:
+                records += _disjoint_certainties(fa, fb, certain_a, certain_b)
+            if a_in_b:
+                records += _implications(fa, fb, certain_a, null_b)
+            if b_in_a:
+                records += _implications(fb, fa, certain_b, null_a)
     return records

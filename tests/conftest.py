@@ -3,23 +3,30 @@
 The oracles here deliberately avoid the package's fast paths: partitions are
 enumerated by recursive insertion rather than restricted growth strings, and
 consistency is decided by evaluating the full decoherence-functional matrix
-for every partition with no screening.
+for every partition with no screening.  The contradiction oracle compares
+every pair of frameworks on every pair of group-union events.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterator, Sequence
 
 from chslit import (
     BRANCHES,
+    DETECTED,
+    ContradictionRecord,
     ExperimentModel,
     History,
     Partition,
     Slit,
     SlitScenario,
     decoherence_functional,
+    enumerate_consistent_frameworks,
 )
+from chslit.engine import NULL_CONDITION
+from chslit.frameworks import CERTAINTY_THRESHOLD, NULL_THRESHOLD
 
 TOLERANCE_FLOOR = 1e-14
 
@@ -132,3 +139,46 @@ def random_partition(rng: random.Random, items: Sequence[int]) -> Partition:
         else:
             groups.append({item})
     return Partition(tuple(frozenset(g) for g in groups))
+
+
+def _certain_and_null_events(framework):
+    """Group-union events with conditional probability ~1 and ~0, or None
+    when detection itself is a null event."""
+    total = framework.detected_total()
+    if total <= NULL_CONDITION:
+        return None
+    groups = framework.partition.groups
+    detected = [framework.probabilities[(g, DETECTED)] for g in groups]
+    certain, null = [], []
+    for r in range(1, len(groups) + 1):
+        for combo in itertools.combinations(range(len(groups)), r):
+            event = frozenset().union(*(groups[i] for i in combo))
+            p = sum(detected[i] for i in combo) / total
+            if p >= CERTAINTY_THRESHOLD:
+                certain.append((event, p))
+            elif p <= NULL_THRESHOLD:
+                null.append((event, p))
+    return certain, null
+
+
+def _clashes(kind, framework_a, framework_b, events_a, events_b, clash):
+    return [
+        ContradictionRecord(kind, framework_a, framework_b, event_a, event_b, p_a, p_b)
+        for event_a, p_a in events_a
+        for event_b, p_b in events_b
+        if clash(event_a, event_b)
+    ]
+
+
+def brute_contradictions(model: ExperimentModel, mode: str = "medium", tolerance: float = 1e-10) -> list:
+    """The contradiction records of every framework pair, in pair order, with
+    no pruning: disjoint certainties, then a's certain events inside b's null
+    events, then b's inside a's."""
+    frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance)
+    judged = [(f, events) for f in frameworks if (events := _certain_and_null_events(f)) is not None]
+    records = []
+    for (fa, (certain_a, null_a)), (fb, (certain_b, null_b)) in itertools.combinations(judged, 2):
+        records += _clashes("disjoint-certainty", fa, fb, certain_a, certain_b, frozenset.isdisjoint)
+        records += _clashes("implication-violation", fa, fb, certain_a, null_b, frozenset.issubset)
+        records += _clashes("implication-violation", fb, fa, certain_b, null_a, frozenset.issubset)
+    return records

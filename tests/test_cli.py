@@ -459,3 +459,24 @@ def test_every_command_runs_without_numpy():
     env = dict(os.environ, PYTHONPATH=str(Path(chslit.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_stdout_closed_by_its_reader_exits_0_quietly(tmp_path):
+    # Seven alternating paths give 33,750 records, far more than a pipe holds.
+    doc = {
+        "version": 1,
+        "name": "alternating",
+        "slits": [{"label": f"S{i}", "amplitude": {"re": (-1.0) ** i, "im": 0.0}, "open": True} for i in range(7)],
+    }
+    path = tmp_path / "alternating.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(chslit.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chslit.cli", "contradictions", "--file", str(path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(64).startswith(b"scenario: alternating")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

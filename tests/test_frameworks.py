@@ -7,7 +7,7 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import chslit.frameworks
 from chslit import (
@@ -19,6 +19,7 @@ from chslit import (
     TooLarge,
     build_experiment,
     build_framework,
+    check_consistency,
     combine_queries,
     enumerate_consistent_frameworks,
     enumerate_partitions,
@@ -29,7 +30,13 @@ from chslit import (
     partition_on_paths,
     query_event,
 )
-from conftest import brute_consistent_partitions, make_scenario, random_amplitudes, random_scenario
+from conftest import (
+    brute_consistent_partitions,
+    brute_contradictions,
+    make_scenario,
+    random_amplitudes,
+    random_scenario,
+)
 
 THREE_SLIT = make_scenario([1, -1, 1])
 
@@ -118,7 +125,25 @@ def test_screened_enumeration_equals_brute_force():
 
 def _family_scenario(rng: random.Random, kind: str, n: int):
     """A random scenario of a conftest family, or ``c * (-1)**j`` for
-    ``alternating`` and ``c * i**j`` for ``quarter-turn``."""
+    ``alternating``, ``c * i**j`` for ``quarter-turn``, one nonzero amplitude
+    for ``e1``, two for ``two-nonzero``, alternating amplitudes plus a pair
+    ``d, -d`` for ``zero-pair`` (the last three shuffled), and alternating
+    amplitudes with relative noise of 1e-6..1e-4.5, which puts group
+    probabilities near the certainty and null thresholds, for
+    ``near-alternating``."""
+    if kind == "near-alternating":
+        c = random_amplitudes(rng, 1)[0]
+        noise = [cmath.rect(abs(c) * 10 ** rng.uniform(-6, -4.5), rng.uniform(-3.2, 3.2)) for _ in range(n)]
+        return make_scenario([c * (-1) ** j + e for j, e in enumerate(noise)])
+    if kind in ("e1", "two-nonzero", "zero-pair"):
+        c, d = random_amplitudes(rng, 2)
+        amps = {
+            "e1": [c] + [0j] * (n - 1),
+            "two-nonzero": [c, d][:n] + [0j] * (n - 2),
+            "zero-pair": [c * (-1) ** j for j in range(n - 2)] + [d, -d][: n],
+        }[kind]
+        rng.shuffle(amps)
+        return make_scenario(amps)
     if kind == "alternating":
         c = random_amplitudes(rng, 1)[0]
         return make_scenario([c * (-1) ** j for j in range(n)])
@@ -198,6 +223,26 @@ def test_coarsest_partition_always_consistent():
         model = build_experiment(scenario)
         frameworks = enumerate_consistent_frameworks(model)
         assert Partition((frozenset(scenario.open_indices),)) in [f.partition for f in frameworks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False), st.booleans()),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_coarsest_partition_is_consistent_at_zero_tolerance(slits):
+    assume(any(a and is_open for a, is_open in slits))
+    scenario = make_scenario([a for a, _ in slits], open_flags=[is_open for _, is_open in slits])
+    model = build_experiment(scenario)
+    coarsest = Partition((frozenset(scenario.open_indices),))
+    assume(build_framework(model, coarsest).detected_total() > 0)
+    for mode in ("medium", "weak"):
+        assert check_consistency(model, coarsest, mode=mode, tolerance=0.0).consistent
+        frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=0.0)
+        assert coarsest in [f.partition for f in frameworks]
 
 
 def test_weak_and_medium_disagree_on_orthogonal_phases():
@@ -394,6 +439,71 @@ def test_contradictions_skip_null_detection_frameworks():
     assert find_contradictions(build_experiment(scenario)) == []
 
 
+def _record_fields(record):
+    return (
+        record.kind,
+        record.framework_a.partition,
+        record.framework_b.partition,
+        record.event_a,
+        record.event_b,
+        record.p_a,
+        record.p_b,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "generic", "planted", "mixed-open", "e1", "two-nonzero",
+        "alternating", "zero-pair", "quarter-turn", "near-alternating",
+    ],
+)
+def test_contradictions_equal_the_all_pairs_search(kind):
+    # Same records in the same order, probabilities bit for bit.
+    rng = random.Random(f"clash:{kind}")
+    for n in range(1, 7):
+        model = build_experiment(_family_scenario(rng, kind, n))
+        for mode in ("medium", "weak"):
+            for tolerance in (0.0, 1e-10, 1e-3, 0.3):
+                got = [_record_fields(r) for r in find_contradictions(model, mode=mode, tolerance=tolerance)]
+                want = [_record_fields(r) for r in brute_contradictions(model, mode, tolerance)]
+                assert got == want, (kind, n, mode, tolerance)
+
+
+def test_contradictions_equal_the_all_pairs_search_when_a_group_is_neither_certain_nor_null():
+    # Alone, the last path has P = 1.00000004e-10 given detection: above the
+    # null threshold, yet every group but it is still certain.  Such a group
+    # is in neither the core nor the span of its framework, so a pair can
+    # clash one way and not the other.
+    model = build_experiment(make_scenario([1, -1, 1, -1, 1, 1.00000002e-5]))
+    for mode in ("medium", "weak"):
+        for tolerance in (1e-3, 0.3):
+            got = [_record_fields(r) for r in find_contradictions(model, mode=mode, tolerance=tolerance)]
+            assert got
+            assert got == [_record_fields(r) for r in brute_contradictions(model, mode, tolerance)]
+
+
+def test_single_nonzero_contradiction_search_visits_no_framework_pair(monkeypatch):
+    # Every partition of (1,0,...,0) is a framework, and every certain event
+    # holds path 1 while no null event does.  The frameworks fall into one
+    # bucket per carrier, and no two buckets can clash.
+    tabulated, bucket_pairs = [], []
+    clash_events, clash_kinds = chslit.frameworks._clash_events, chslit.frameworks._clash_kinds
+    monkeypatch.setattr(chslit.frameworks, "_clash_events", lambda *a: tabulated.append(a) or clash_events(*a))
+    monkeypatch.setattr(chslit.frameworks, "_clash_kinds", lambda *a: bucket_pairs.append(a) or clash_kinds(*a))
+    for k in (6, 8):
+        tabulated.clear()
+        bucket_pairs.clear()
+        model = build_experiment(make_scenario([1] + [0] * (k - 1)))
+        assert len(enumerate_consistent_frameworks(model)) == BELL[k - 1]
+        assert find_contradictions(model) == []
+        assert tabulated == []
+        carriers = 2 ** (k - 1)
+        assert len(bucket_pairs) == carriers * (carriers + 1) // 2
+    assert len(find_contradictions(build_experiment(make_scenario([1, -1, 1, -1, 1])))) == 243
+    assert tabulated
+
+
 # -- scale invariance ---------------------------------------------------------------
 
 
@@ -451,4 +561,24 @@ def test_framework_lists_of_structured_families_are_scale_invariant(kind, n, siz
     for mode in ("medium", "weak"):
         original = [f.partition for f in enumerate_consistent_frameworks(model, mode=mode)]
         rescaled = [f.partition for f in enumerate_consistent_frameworks(scaled_model, mode=mode)]
+        assert original == rescaled
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(_SCALED_FAMILIES)),
+    st.integers(2, 6),
+    st.floats(0.1, 2.0),
+    st.floats(-3.2, 3.2),
+    st.floats(-150.0, 150.0),
+    st.floats(-3.2, 3.2),
+)
+def test_contradiction_records_of_structured_families_are_scale_invariant(kind, n, size, phase, exponent, turn):
+    amps = _SCALED_FAMILIES[kind](cmath.rect(size, phase), n)
+    factor = cmath.rect(10.0**exponent, turn)
+    model = build_experiment(make_scenario(amps))
+    scaled_model = build_experiment(make_scenario([a * factor for a in amps]))
+    for mode in ("medium", "weak"):
+        original = [_record_signature(r) for r in find_contradictions(model, mode=mode)]
+        rescaled = [_record_signature(r) for r in find_contradictions(scaled_model, mode=mode)]
         assert original == rescaled
