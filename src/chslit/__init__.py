@@ -10,7 +10,6 @@ the dense model in ``chslit.reference`` is the oracle it is tested against.
 from .core import (
     Partition,
     Path,
-    PathId,
     Slit,
     SlitPart,
     SlitScenario,

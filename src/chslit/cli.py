@@ -12,11 +12,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
+    Partition,
     SlitScenario,
     counting_rate,
     format_scenario_partition,
@@ -52,41 +52,18 @@ EXIT_NULL_CONDITION = 5
 MAX_PATHS_ENV = "CH_MAX_PATHS"
 
 
-@dataclass
-class Report:
-    """Structured result of one command, rendered as text or JSON."""
-
-    kind: str
-    payload: dict[str, Any]
-    scenario_name: str
-    mode: str | None = None
-    tolerance: float | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "scenario": self.scenario_name,
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "payload": self.payload,
-        }
-
-
 def _fmt(x: float) -> str:
     """Probabilities and violations with 12 significant digits, so exact
     zeros and ones print as such."""
     return format(float(x), ".12g")
 
 
+def _braces(items: Sequence[object]) -> str:
+    return "{%s}" % ",".join(map(str, items))
+
+
 def _fail(message: str) -> None:
     print(f"chslit: error: {message}", file=sys.stderr)
-
-
-def _emit(report: Report, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print("\n".join(lines))
 
 
 def _load_source(args: argparse.Namespace) -> SlitScenario:
@@ -120,28 +97,42 @@ def _paths_from_text(text: str, paths: Sequence[int], flag: str) -> frozenset[in
     return frozenset(members)
 
 
-def _event_positions(scenario: SlitScenario, event: frozenset[int]) -> list[int]:
-    """1-based open positions, as used in partition text, of an event's paths."""
-    return sorted(scenario.open_indices.index(i) + 1 for i in event)
+def _namers(scenario: SlitScenario) -> tuple[Callable, Callable]:
+    """A framework's partition tag, and an event's 1-based open positions and
+    path labels, each computed once per command from one open-position map."""
+    position = {index: j + 1 for j, index in enumerate(scenario.open_indices)}
+    tags: dict[Partition, str] = {}
+    events: dict[frozenset[int], tuple[list[int], list[str]]] = {}
 
+    def tag(partition: Partition) -> str:
+        if partition not in tags:
+            tags[partition] = format_scenario_partition(scenario, partition)
+        return tags[partition]
 
-def _event_text(scenario: SlitScenario, event: frozenset[int]) -> str:
-    return "{%s}" % ",".join(str(p) for p in _event_positions(scenario, event))
+    def describe(event: frozenset[int]) -> tuple[list[int], list[str]]:
+        if event not in events:
+            ordered = sorted(event)
+            events[event] = ([position[i] for i in ordered], [scenario.path_label(i) for i in ordered])
+        return events[event]
 
-
-def _event_labels(scenario: SlitScenario, event: frozenset[int]) -> list[str]:
-    return [scenario.path_label(i) for i in sorted(event)]
+    return tag, describe
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below, with the out-of-range message
     if not (value >= 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
     return value
 
 
 def _path_cap(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below, with the out-of-range message
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return value
@@ -155,114 +146,69 @@ def _max_paths(args: argparse.Namespace) -> int:
         return DEFAULT_MAX_PATHS
     try:
         return _path_cap(raw)
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         raise ValueError(f"{MAX_PATHS_ENV} must be an integer of at least 1, got {raw!r}") from None
 
 
-def _framework_payload(scenario: SlitScenario, framework: Framework) -> dict[str, Any]:
-    rows = []
-    for branch in (DETECTED, UNDETECTED):
-        for group in framework.partition.groups:
-            rows.append(
-                {
-                    "group": _event_positions(scenario, group),
-                    "labels": _event_labels(scenario, group),
-                    "branch": branch,
-                    "probability": framework.probabilities[(group, branch)],
-                }
-            )
-    return {
-        "partition": format_scenario_partition(scenario, framework.partition),
-        "detected_probability": framework.detected_total(),
-        "probabilities": rows,
-    }
+# -- command handlers: each returns its exit code and its JSON payload --------
 
 
-def _framework_lines(scenario: SlitScenario, framework: Framework) -> list[str]:
-    lines = [f"framework {format_scenario_partition(scenario, framework.partition)}"]
-    for branch in (DETECTED, UNDETECTED):
-        for group in framework.partition.groups:
-            p = framework.probabilities[(group, branch)]
-            lines.append(f"  P({_event_text(scenario, group)}, {branch}) = {_fmt(p)}")
-    return lines
-
-
-# -- command handlers ---------------------------------------------------------
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    scenario = _load_source(args)
+def _cmd_check(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
     model = build_experiment(scenario)
     partition = _scenario_partition(scenario, args.partition, "--partition")
     report = check_consistency(model, partition, mode=args.mode, tolerance=args.tol)
-    offending = None if report.offending_pair is None else list(report.offending_pair)
     payload = {
         "partition": format_scenario_partition(scenario, partition),
         "consistent": report.consistent,
         "max_violation": report.max_violation,
         "tolerance_used": report.tolerance_used,
-        "offending_pair": offending,
+        "offending_pair": None if report.offending_pair is None else list(report.offending_pair),
     }
-    lines = [
-        f"scenario: {scenario.name}",
-        f"partition: {payload['partition']}",
-        f"mode: {args.mode}",
-        f"consistent: {'yes' if report.consistent else 'no'}",
-        f"max violation: {_fmt(report.max_violation)}",
-        f"tolerance used: {_fmt(report.tolerance_used)}",
-    ]
-    if offending is not None:
-        lines.append(f"offending pair: {offending[0]} / {offending[1]}")
-    _emit(Report("consistency", payload, scenario.name, args.mode, args.tol), lines, args.format)
-    return EXIT_OK if report.consistent else EXIT_INCONSISTENT
+    return (EXIT_OK if report.consistent else EXIT_INCONSISTENT), payload
 
 
-def _cmd_frameworks(args: argparse.Namespace) -> int:
-    scenario = _load_source(args)
+def _cmd_frameworks(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
     model = build_experiment(scenario)
     frameworks = enumerate_consistent_frameworks(
         model, mode=args.mode, tolerance=args.tol, max_paths=_max_paths(args)
     )
-    payload = {
-        "count": len(frameworks),
-        "frameworks": [_framework_payload(scenario, f) for f in frameworks],
-    }
-    legend = " ".join(
-        f"{j + 1}={scenario.path_label(index)}" for j, index in enumerate(scenario.open_indices)
-    )
-    lines = [
-        f"scenario: {scenario.name}",
-        f"mode: {args.mode}",
-        f"open paths: {legend}",
-        f"consistent frameworks: {len(frameworks)}",
-    ]
+    tag, describe = _namers(scenario)
+    rows = []
     for framework in frameworks:
-        lines.extend(_framework_lines(scenario, framework))
-    _emit(Report("frameworks", payload, scenario.name, args.mode, args.tol), lines, args.format)
-    return EXIT_OK
+        probabilities = []
+        for branch in (DETECTED, UNDETECTED):
+            for group in framework.partition.groups:
+                positions, labels = describe(group)
+                probabilities.append({
+                    "group": positions,
+                    "labels": labels,
+                    "branch": branch,
+                    "probability": framework.probabilities[(group, branch)],
+                })
+        rows.append({
+            "partition": tag(framework.partition),
+            "detected_probability": framework.detected_total(),
+            "probabilities": probabilities,
+        })
+    return EXIT_OK, {"count": len(frameworks), "frameworks": rows}
 
 
-def _query_line(scenario: SlitScenario, framework: Framework, event: frozenset[int], given_detected: bool, p: float) -> str:
-    tag = format_scenario_partition(scenario, framework.partition)
-    condition = " | detected" if given_detected else ""
-    return f"In analysis {tag}: P(went through {_event_text(scenario, event)}{condition}) = {_fmt(p)}"
-
-
-def _cmd_query(args: argparse.Namespace) -> int:
-    scenario = _load_source(args)
+def _cmd_query(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
     model = build_experiment(scenario)
+    tag, describe = _namers(scenario)
+
+    # ``given`` places the first answer's given_detected flag before its
+    # probability, the JSON key order of that answer.
+    def answer(framework: Framework, event: frozenset[int], **given: bool) -> dict[str, Any]:
+        probability = query_event(framework, event, given_detected=args.given_detected)
+        positions, labels = describe(event)
+        return {"framework": tag(framework.partition), "event": positions, "labels": labels,
+                **given, "probability": probability}
+
     partition = _scenario_partition(scenario, args.framework, "--framework")
     framework = build_framework(model, partition, mode=args.mode, tolerance=args.tol)
     event = _paths_from_text(args.event, scenario.open_indices, "--event")
-    probability = query_event(framework, event, given_detected=args.given_detected)
-    payload: dict[str, Any] = {
-        "framework": format_scenario_partition(scenario, framework.partition),
-        "event": _event_positions(scenario, event),
-        "labels": _event_labels(scenario, event),
-        "given_detected": args.given_detected,
-        "probability": probability,
-    }
-    lines = [_query_line(scenario, framework, event, args.given_detected, probability)]
+    payload = answer(framework, event, given_detected=args.given_detected)
     if args.and_query is not None:
         if "@" not in args.and_query:
             raise ValueError("--and expects EVENT@PARTITION, e.g. '2,3@1|2,3'")
@@ -270,106 +216,134 @@ def _cmd_query(args: argparse.Namespace) -> int:
         other_partition = _scenario_partition(scenario, partition_text, "--and")
         other = build_framework(model, other_partition, mode=args.mode, tolerance=args.tol)
         other_event = _paths_from_text(event_text, scenario.open_indices, "--and")
-        other_probability = query_event(other, other_event, given_detected=args.given_detected)
-        payload["and"] = {
-            "framework": format_scenario_partition(scenario, other.partition),
-            "event": _event_positions(scenario, other_event),
-            "labels": _event_labels(scenario, other_event),
-            "probability": other_probability,
-        }
-        lines.append(_query_line(scenario, other, other_event, args.given_detected, other_probability))
+        payload["and"] = answer(other, other_event)
         # Raises MeaninglessCombination (exit 4) unless one analysis refines the other.
-        combine = combine_queries(framework, other)
-        joint_event = event & other_event
-        joint = query_event(combine, joint_event, given_detected=args.given_detected)
-        payload["conjunction"] = {
-            "framework": format_scenario_partition(scenario, combine.partition),
-            "event": _event_positions(scenario, joint_event),
-            "labels": _event_labels(scenario, joint_event),
-            "probability": joint,
-        }
-        tag = format_scenario_partition(scenario, combine.partition)
-        condition = " | detected" if args.given_detected else ""
-        lines.append(
-            f"conjunction in analysis {tag}: "
-            f"P(went through {_event_text(scenario, joint_event)}{condition}) = {_fmt(joint)}"
-        )
-    _emit(Report("query", payload, scenario.name, args.mode, args.tol), lines, args.format)
-    return EXIT_OK
+        payload["conjunction"] = answer(combine_queries(framework, other), event & other_event)
+    return EXIT_OK, payload
 
 
-def _cmd_contradictions(args: argparse.Namespace) -> int:
-    scenario = _load_source(args)
+def _cmd_contradictions(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
     model = build_experiment(scenario)
     records = find_contradictions(model, mode=args.mode, tolerance=args.tol, max_paths=_max_paths(args))
+    tag, describe = _namers(scenario)
     rows = []
-    lines = [f"scenario: {scenario.name}", f"mode: {args.mode}"]
     for record in records:
-        tag_a = format_scenario_partition(scenario, record.framework_a.partition)
-        tag_b = format_scenario_partition(scenario, record.framework_b.partition)
-        rows.append(
-            {
-                "kind": record.kind,
-                "framework_a": tag_a,
-                "event_a": _event_positions(scenario, record.event_a),
-                "labels_a": _event_labels(scenario, record.event_a),
-                "p_a": record.p_a,
-                "framework_b": tag_b,
-                "event_b": _event_positions(scenario, record.event_b),
-                "labels_b": _event_labels(scenario, record.event_b),
-                "p_b": record.p_b,
-            }
-        )
-        joiner = "vs" if record.kind == "disjoint-certainty" else "but"
-        lines.append(
-            f"{record.kind}: P({_event_text(scenario, record.event_a)} | detected) = {_fmt(record.p_a)} "
-            f"in analysis {tag_a} {joiner} P({_event_text(scenario, record.event_b)} | detected) = "
-            f"{_fmt(record.p_b)} in analysis {tag_b}"
-        )
-        lines.append(f"  paths {{{','.join(_event_labels(scenario, record.event_a))}}}"
-                     f" {joiner} {{{','.join(_event_labels(scenario, record.event_b))}}}")
-    if not records:
-        lines.append("no contradictions found")
-    payload = {"count": len(records), "records": rows}
-    _emit(Report("contradictions", payload, scenario.name, args.mode, args.tol), lines, args.format)
-    return EXIT_OK
+        event_a, labels_a = describe(record.event_a)
+        event_b, labels_b = describe(record.event_b)
+        rows.append({
+            "kind": record.kind,
+            "framework_a": tag(record.framework_a.partition),
+            "event_a": event_a,
+            "labels_a": labels_a,
+            "p_a": record.p_a,
+            "framework_b": tag(record.framework_b.partition),
+            "event_b": event_b,
+            "labels_b": labels_b,
+            "p_b": record.p_b,
+        })
+    return EXIT_OK, {"count": len(records), "records": rows}
 
 
-def _cmd_rates(args: argparse.Namespace) -> int:
-    scenario = _load_source(args)
+def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
     if args.mask is None and not args.all_single:
         raise ValueError("rates needs --mask and/or --all-single")
     payload: dict[str, Any] = {}
-    lines = [f"scenario: {scenario.name}"]
     if args.mask is not None:
-        mask = _paths_from_text(args.mask, range(scenario.n_paths), "--mask")
+        mask = sorted(_paths_from_text(args.mask, range(scenario.n_paths), "--mask"))
         rate = counting_rate(scenario, mask)
-        payload["mask"] = sorted(i + 1 for i in mask)
-        payload["mask_labels"] = _event_labels(scenario, mask)
+        payload["mask"] = [i + 1 for i in mask]
+        payload["mask_labels"] = [scenario.path_label(i) for i in mask]
         payload["rate"] = rate
-        lines.append(f"rate({','.join(str(i + 1) for i in sorted(mask))}) = {_fmt(rate)}")
     if args.all_single:
-        singles = []
+        singles = [
+            {"path": index + 1, "label": scenario.path_label(index), "rate": counting_rate(scenario, {index})}
+            for index in scenario.open_indices
+        ]
         total = 0.0
-        lines.append("single-path rates:")
-        for index in scenario.open_indices:
-            rate = counting_rate(scenario, {index})
-            singles.append({"path": index + 1, "label": scenario.path_label(index), "rate": rate})
-            total += rate
-            lines.append(f"  {scenario.path_label(index)} (path {index + 1}): {_fmt(rate)}")
+        for single in singles:
+            total += single["rate"]
         if math.isinf(total):
             raise ValueError("sum of single-path rates is too large for a float")
         all_open_rate = counting_rate(scenario, scenario.open_indices)
-        deficit = all_open_rate - total
         payload["singles"] = singles
         payload["singles_total"] = total
         payload["all_open_rate"] = all_open_rate
-        payload["interference_deficit"] = deficit
-        lines.append(f"sum of singles: {_fmt(total)}")
-        lines.append(f"all-open rate: {_fmt(all_open_rate)}")
-        lines.append(f"interference deficit: {_fmt(deficit)}")
-    _emit(Report("rates", payload, scenario.name, None, None), lines, args.format)
-    return EXIT_OK
+        payload["interference_deficit"] = all_open_rate - total
+    return EXIT_OK, payload
+
+
+# -- text renderers: each prints what its command's payload holds ------------
+
+
+def _check_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+    lines = [
+        f"scenario: {scenario.name}",
+        f"partition: {payload['partition']}",
+        f"mode: {mode}",
+        f"consistent: {'yes' if payload['consistent'] else 'no'}",
+        f"max violation: {_fmt(payload['max_violation'])}",
+        f"tolerance used: {_fmt(payload['tolerance_used'])}",
+    ]
+    if payload["offending_pair"] is not None:
+        lines.append("offending pair: %s / %s" % tuple(payload["offending_pair"]))
+    return lines
+
+
+def _frameworks_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+    legend = " ".join(
+        f"{j + 1}={scenario.path_label(index)}" for j, index in enumerate(scenario.open_indices)
+    )
+    lines = [
+        f"scenario: {scenario.name}",
+        f"mode: {mode}",
+        f"open paths: {legend}",
+        f"consistent frameworks: {payload['count']}",
+    ]
+    for framework in payload["frameworks"]:
+        lines.append(f"framework {framework['partition']}")
+        for row in framework["probabilities"]:
+            lines.append(f"  P({_braces(row['group'])}, {row['branch']}) = {_fmt(row['probability'])}")
+    return lines
+
+
+def _query_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+    condition = " | detected" if payload["given_detected"] else ""
+    answers = [("In", payload), ("In", payload.get("and")), ("conjunction in", payload.get("conjunction"))]
+    return [
+        f"{prefix} analysis {answer['framework']}: "
+        f"P(went through {_braces(answer['event'])}{condition}) = {_fmt(answer['probability'])}"
+        for prefix, answer in answers
+        if answer is not None
+    ]
+
+
+def _contradictions_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+    lines = [f"scenario: {scenario.name}", f"mode: {mode}"]
+    for record in payload["records"]:
+        joiner = "vs" if record["kind"] == "disjoint-certainty" else "but"
+        lines.append(
+            f"{record['kind']}: P({_braces(record['event_a'])} | detected) = {_fmt(record['p_a'])} "
+            f"in analysis {record['framework_a']} {joiner} P({_braces(record['event_b'])} | detected) = "
+            f"{_fmt(record['p_b'])} in analysis {record['framework_b']}"
+        )
+        lines.append(f"  paths {_braces(record['labels_a'])} {joiner} {_braces(record['labels_b'])}")
+    if not payload["records"]:
+        lines.append("no contradictions found")
+    return lines
+
+
+def _rates_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+    lines = [f"scenario: {scenario.name}"]
+    if "mask" in payload:
+        lines.append(f"rate({','.join(map(str, payload['mask']))}) = {_fmt(payload['rate'])}")
+    if "singles" in payload:
+        lines.append("single-path rates:")
+        for single in payload["singles"]:
+            lines.append(f"  {single['label']} (path {single['path']}): {_fmt(single['rate'])}")
+        lines.append(f"sum of singles: {_fmt(payload['singles_total'])}")
+        lines.append(f"all-open rate: {_fmt(payload['all_open_rate'])}")
+        lines.append(f"interference deficit: {_fmt(payload['interference_deficit'])}")
+    return lines
 
 
 # -- parser -------------------------------------------------------------------
@@ -410,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--partition", required=True,
                        help="groups of 1-based open-path positions, e.g. '1,2|3'")
     _add_common_arguments(check)
-    check.set_defaults(handler=_cmd_check)
+    check.set_defaults(handler=_cmd_check, render=_check_text, kind="consistency")
 
     frameworks = sub.add_parser("frameworks", help="enumerate all consistent frameworks")
     _add_source_arguments(frameworks)
     frameworks.add_argument("--max-n", type=_path_cap, default=None,
                             help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
     _add_common_arguments(frameworks)
-    frameworks.set_defaults(handler=_cmd_frameworks)
+    frameworks.set_defaults(handler=_cmd_frameworks, render=_frameworks_text, kind="frameworks")
 
     query = sub.add_parser(
         "query",
@@ -439,14 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="second framework-tagged query; the conjunction is answered only "
                             "when the two frameworks share a context")
     _add_common_arguments(query)
-    query.set_defaults(handler=_cmd_query)
+    query.set_defaults(handler=_cmd_query, render=_query_text, kind="query")
 
     contradictions = sub.add_parser("contradictions", help="search framework pairs for clashing certainties")
     _add_source_arguments(contradictions)
     contradictions.add_argument("--max-n", type=_path_cap, default=None,
                                 help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
     _add_common_arguments(contradictions)
-    contradictions.set_defaults(handler=_cmd_contradictions)
+    contradictions.set_defaults(handler=_cmd_contradictions, render=_contradictions_text, kind="contradictions")
 
     rates = sub.add_parser("rates", help="counting rates for hypothetical open masks")
     _add_source_arguments(rates)
@@ -455,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--all-single", action="store_true",
                        help="also print each single-path rate and the interference deficit")
     _add_common_arguments(rates, with_mode=False)
-    rates.set_defaults(handler=_cmd_rates)
+    rates.set_defaults(handler=_cmd_rates, render=_rates_text, kind="rates", mode=None, tol=None)
 
     return parser
 
@@ -467,7 +441,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
-        code = args.handler(args)
+        scenario = _load_source(args)
+        code, payload = args.handler(args, scenario)
+        if args.format == "json":
+            report = {"kind": args.kind, "scenario": scenario.name, "mode": args.mode,
+                      "tolerance": args.tol, "payload": payload}
+            print(json.dumps(report, indent=2))
+        else:
+            print("\n".join(args.render(payload, scenario, args.mode)))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -40,28 +40,14 @@ def _modulus(z: complex, unit: float) -> float:
 
 
 @dataclass(frozen=True)
-class PathId:
-    """Stable identity of one flattened path: dense index plus display label."""
+class Path:
+    """One flattened path: its stable dense index, display label, amplitude
+    and open/closed state."""
 
     index: int
     label: str
-
-
-@dataclass(frozen=True)
-class Path:
-    """One flattened path with its amplitude and open/closed state."""
-
-    path_id: PathId
     amplitude: complex
     is_open: bool
-
-    @property
-    def index(self) -> int:
-        return self.path_id.index
-
-    @property
-    def label(self) -> str:
-        return self.path_id.label
 
 
 @dataclass(frozen=True)
@@ -123,11 +109,9 @@ class SlitScenario:
         for slit in self.slits:
             if slit.parts:
                 for part in slit.parts:
-                    pid = PathId(len(out), f"{slit.label}.{part.label}")
-                    out.append(Path(pid, part.amplitude, slit.is_open))
+                    out.append(Path(len(out), f"{slit.label}.{part.label}", part.amplitude, slit.is_open))
             else:
-                pid = PathId(len(out), slit.label)
-                out.append(Path(pid, slit.amplitude, slit.is_open))
+                out.append(Path(len(out), slit.label, slit.amplitude, slit.is_open))
         return tuple(out)
 
     @cached_property

@@ -270,6 +270,65 @@ def test_contradictions_json(capsys):
     assert kinds == {"disjoint-certainty", "implication-violation"}
 
 
+def _alternating_file(tmp_path, n):
+    doc = {
+        "version": 1,
+        "name": f"alternating-{n}",
+        "slits": [{"label": f"S{i + 1}", "amplitude": {"re": (-1.0) ** i, "im": 0.0}, "open": True} for i in range(n)],
+    }
+    path = tmp_path / f"alternating-{n}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_contradictions_format_each_framework_once(capsys, monkeypatch, tmp_path, fmt):
+    alternating = _alternating_file(tmp_path, 5)
+    code, out, _ = run(capsys, "contradictions", "--file", alternating, "--format", "json")
+    records = json.loads(out)["payload"]["records"]
+    assert (code, len(records)) == (0, 243)
+    distinct = {r["framework_a"] for r in records} | {r["framework_b"] for r in records}
+    calls = []
+    original = chslit.cli.format_scenario_partition
+    monkeypatch.setattr(chslit.cli, "format_scenario_partition", lambda *a: calls.append(a) or original(*a))
+    assert run(capsys, "contradictions", "--file", alternating, "--format", fmt)[0] == 0
+    assert 0 < len(calls) <= len(distinct)
+
+
+def test_text_lists_the_json_records_and_rows_in_order(capsys, tmp_path):
+    alternating = _alternating_file(tmp_path, 5)
+    code, out, _ = run(capsys, "contradictions", "--file", alternating, "--format", "json")
+    records = json.loads(out)["payload"]["records"]
+    expected = ["scenario: alternating-5", "mode: medium"]
+    for r in records:
+        joiner = "vs" if r["kind"] == "disjoint-certainty" else "but"
+        event_a, event_b = (",".join(map(str, r[key])) for key in ("event_a", "event_b"))
+        expected.append(
+            f"{r['kind']}: P({{{event_a}}} | detected) = {r['p_a']:.12g} in analysis {r['framework_a']} "
+            f"{joiner} P({{{event_b}}} | detected) = {r['p_b']:.12g} in analysis {r['framework_b']}"
+        )
+        expected.append(f"  paths {{{','.join(r['labels_a'])}}} {joiner} {{{','.join(r['labels_b'])}}}")
+    assert (code, len(records)) == (0, 243)
+    assert run(capsys, "contradictions", "--file", alternating) == (0, "\n".join(expected) + "\n", "")
+
+    code, out, _ = run(capsys, "frameworks", "--file", alternating, "--format", "json")
+    payload = json.loads(out)["payload"]
+    expected = [
+        "scenario: alternating-5",
+        "mode: medium",
+        "open paths: 1=S1 2=S2 3=S3 4=S4 5=S5",
+        f"consistent frameworks: {payload['count']}",
+    ]
+    for framework in payload["frameworks"]:
+        expected.append(f"framework {framework['partition']}")
+        for row in framework["probabilities"]:
+            group = ",".join(map(str, row["group"]))
+            expected.append(f"  P({{{group}}}, {row['branch']}) = {row['probability']:.12g}")
+            assert row["labels"] == [f"S{p}" for p in row["group"]]
+    assert code == 0 and payload["count"] == len(payload["frameworks"]) > 1
+    assert run(capsys, "frameworks", "--file", alternating) == (0, "\n".join(expected) + "\n", "")
+
+
 # -- rates ---------------------------------------------------------------------------
 
 
@@ -388,6 +447,7 @@ def test_bad_tolerance_or_cap_flag_is_one_line_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("chslit: error: argument --")
+    assert "invalid _" not in err
 
 
 @pytest.mark.parametrize("raw", ["0", "-1", "1.5"])
