@@ -20,7 +20,6 @@ from .core import (
     parse_partition,
     parse_scenario_partition,
     partition_on_paths,
-    partition_on_positions,
 )
 from .engine import (
     BRANCHES,
@@ -33,7 +32,6 @@ from .engine import (
     build_experiment,
     check_consistency,
     group_decoherence_closed_form,
-    history_probabilities,
 )
 from .errors import (
     AlreadyRefined,
@@ -49,7 +47,6 @@ from .errors import (
     NoOpenPaths,
     NotExhaustive,
     NotInFramework,
-    NotInPartition,
     OverlappingGroups,
     ParseError,
     PartSumMismatch,
@@ -67,6 +64,7 @@ from .frameworks import (
     enumerate_consistent_frameworks,
     enumerate_partitions,
     find_contradictions,
+    history_probabilities,
     query_event,
 )
 from .scenarios import (

@@ -18,6 +18,7 @@ from typing import Any, Callable, Sequence
 from .core import (
     Partition,
     SlitScenario,
+    _parse_indices,
     counting_rate,
     format_scenario_partition,
     parse_scenario_partition,
@@ -69,32 +70,20 @@ def _fail(message: str) -> None:
 def _load_source(args: argparse.Namespace) -> SlitScenario:
     if args.demo is not None:
         return builtin_scenario(args.demo)
-    return load_scenario(Path(args.file).read_text(encoding="utf-8"))
+    return load_scenario(Path(args.file).read_bytes())
 
 
-def _scenario_partition(scenario: SlitScenario, text: str, flag: str):
-    """Parse partition text, naming the offending flag in any error."""
+def _parsed(flag: str, parse: Callable[..., Any], *args: Any) -> Any:
+    """``parse(*args)``, naming the offending flag in any parse error."""
     try:
-        return parse_scenario_partition(scenario, text)
+        return parse(*args)
     except (OverlappingGroups, NotExhaustive, BadIndex) as exc:
         raise type(exc)(f"{flag}: {exc}") from None
 
 
-def _paths_from_text(text: str, paths: Sequence[int], flag: str) -> frozenset[int]:
-    """Parse comma-separated 1-based numbers, each naming an entry of ``paths``."""
-    members: set[int] = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise BadIndex(f"empty index in {flag}")
-        try:
-            number = int(token)
-        except ValueError:
-            raise BadIndex(f"cannot parse index {token!r} in {flag}") from None
-        if not 1 <= number <= len(paths):
-            raise BadIndex(f"{flag}: {number} out of range 1..{len(paths)}")
-        members.add(paths[number - 1])
-    return frozenset(members)
+def _event(scenario: SlitScenario, text: str, flag: str) -> frozenset[int]:
+    """The paths at the comma-separated 1-based open positions in ``text``."""
+    return frozenset(scenario.open_indices[j] for j in _parsed(flag, _parse_indices, text, scenario.n_open))
 
 
 def _namers(scenario: SlitScenario) -> tuple[Callable, Callable]:
@@ -125,7 +114,7 @@ def _tolerance(text: str) -> float:
         value = math.nan  # rejected below, with the out-of-range message
     if not (value >= 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
-    return value
+    return abs(value)  # -0 passes the test above; report it as 0
 
 
 def _path_cap(text: str) -> int:
@@ -155,7 +144,7 @@ def _max_paths(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
     model = build_experiment(scenario)
-    partition = _scenario_partition(scenario, args.partition, "--partition")
+    partition = _parsed("--partition", parse_scenario_partition, scenario, args.partition)
     report = check_consistency(model, partition, mode=args.mode, tolerance=args.tol)
     payload = {
         "partition": format_scenario_partition(scenario, partition),
@@ -205,17 +194,17 @@ def _cmd_query(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
         return {"framework": tag(framework.partition), "event": positions, "labels": labels,
                 **given, "probability": probability}
 
-    partition = _scenario_partition(scenario, args.framework, "--framework")
+    partition = _parsed("--framework", parse_scenario_partition, scenario, args.framework)
     framework = build_framework(model, partition, mode=args.mode, tolerance=args.tol)
-    event = _paths_from_text(args.event, scenario.open_indices, "--event")
+    event = _event(scenario, args.event, "--event")
     payload = answer(framework, event, given_detected=args.given_detected)
     if args.and_query is not None:
         if "@" not in args.and_query:
             raise ValueError("--and expects EVENT@PARTITION, e.g. '2,3@1|2,3'")
         event_text, partition_text = args.and_query.split("@", 1)
-        other_partition = _scenario_partition(scenario, partition_text, "--and")
+        other_partition = _parsed("--and", parse_scenario_partition, scenario, partition_text)
         other = build_framework(model, other_partition, mode=args.mode, tolerance=args.tol)
-        other_event = _paths_from_text(event_text, scenario.open_indices, "--and")
+        other_event = _event(scenario, event_text, "--and")
         payload["and"] = answer(other, other_event)
         # Raises MeaninglessCombination (exit 4) unless one analysis refines the other.
         payload["conjunction"] = answer(combine_queries(framework, other), event & other_event)
@@ -249,7 +238,7 @@ def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
         raise ValueError("rates needs --mask and/or --all-single")
     payload: dict[str, Any] = {}
     if args.mask is not None:
-        mask = sorted(_paths_from_text(args.mask, range(scenario.n_paths), "--mask"))
+        mask = sorted(set(_parsed("--mask", _parse_indices, args.mask, scenario.n_paths)))
         rate = counting_rate(scenario, mask)
         payload["mask"] = [i + 1 for i in mask]
         payload["mask_labels"] = [scenario.path_label(i) for i in mask]
@@ -355,6 +344,11 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--demo", choices=BUILTIN_SCENARIOS, help="built-in scenario")
 
 
+def _add_cap_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-n", type=_path_cap, default=None,
+                        help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser, with_mode: bool = True) -> None:
     if with_mode:
         parser.add_argument("--mode", choices=MODES, default=MODE_MEDIUM,
@@ -388,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     frameworks = sub.add_parser("frameworks", help="enumerate all consistent frameworks")
     _add_source_arguments(frameworks)
-    frameworks.add_argument("--max-n", type=_path_cap, default=None,
-                            help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
+    _add_cap_argument(frameworks)
     _add_common_arguments(frameworks)
     frameworks.set_defaults(handler=_cmd_frameworks, render=_frameworks_text, kind="frameworks")
 
@@ -417,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     contradictions = sub.add_parser("contradictions", help="search framework pairs for clashing certainties")
     _add_source_arguments(contradictions)
-    contradictions.add_argument("--max-n", type=_path_cap, default=None,
-                                help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
+    _add_cap_argument(contradictions)
     _add_common_arguments(contradictions)
     contradictions.set_defaults(handler=_cmd_contradictions, render=_contradictions_text, kind="contradictions")
 

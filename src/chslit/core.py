@@ -178,6 +178,23 @@ class Partition:
         return format_partition(self)
 
 
+def _parse_indices(text: str, count: int) -> list[int]:
+    """Comma-separated 1-based numbers in 1..count, as 0-based indices."""
+    indices = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            raise BadIndex(f"empty index in {text!r}")
+        try:
+            number = int(token)
+        except ValueError:
+            raise BadIndex(f"cannot parse path index {token!r}") from None
+        if not 1 <= number <= count:
+            raise BadIndex(f"path index {number} out of range 1..{count}")
+        indices.append(number - 1)
+    return indices
+
+
 def parse_partition(text: str, n_paths: int) -> Partition:
     """Parse ``"1,2|3"``-style text into a partition of paths 1..n_paths.
 
@@ -186,22 +203,7 @@ def parse_partition(text: str, n_paths: int) -> Partition:
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    groups: list[set[int]] = []
-    for group_text in text.split("|"):
-        members: set[int] = set()
-        for token in group_text.split(","):
-            token = token.strip()
-            if not token:
-                raise BadIndex(f"empty index in partition text {text!r}")
-            try:
-                one_based = int(token)
-            except ValueError:
-                raise BadIndex(f"cannot parse path index {token!r}") from None
-            if not 1 <= one_based <= n_paths:
-                raise BadIndex(f"path index {one_based} out of range 1..{n_paths}")
-            members.add(one_based - 1)
-        groups.append(members)
-    partition = Partition(tuple(frozenset(g) for g in groups))
+    partition = Partition(tuple(frozenset(_parse_indices(g, n_paths)) for g in text.split("|")))
     missing = set(range(n_paths)) - partition.universe
     if missing:
         raise NotExhaustive(f"partition is missing path {min(missing) + 1}")
@@ -226,22 +228,20 @@ def partition_on_paths(scenario: SlitScenario, partition: Partition) -> Partitio
     return Partition(tuple(frozenset(open_indices[j] for j in g) for g in partition.groups))
 
 
-def partition_on_positions(scenario: SlitScenario, partition: Partition) -> Partition:
-    """Inverse of :func:`partition_on_paths`, for display."""
-    position = {idx: j for j, idx in enumerate(scenario.open_indices)}
-    if partition.universe != frozenset(scenario.open_indices):
-        raise BadIndex("partition must cover exactly the scenario's open paths")
-    return Partition(tuple(frozenset(position[i] for i in g) for g in partition.groups))
-
-
 def parse_scenario_partition(scenario: SlitScenario, text: str) -> Partition:
     """Parse partition text against a scenario, yielding path indices."""
     return partition_on_paths(scenario, parse_partition(text, scenario.n_open))
 
 
 def format_scenario_partition(scenario: SlitScenario, partition: Partition) -> str:
-    """Canonical text of a path-index partition, numbered over open positions."""
-    return format_partition(partition_on_positions(scenario, partition))
+    """Canonical text of a path-index partition, numbered over open positions.
+
+    Positions rise with path indices, so the groups and their members keep
+    their order."""
+    if partition.universe != frozenset(scenario.open_indices):
+        raise BadIndex("partition must cover exactly the scenario's open paths")
+    position = {index: str(j + 1) for j, index in enumerate(scenario.open_indices)}
+    return "|".join(",".join(position[i] for i in sorted(g)) for g in partition.groups)
 
 
 def _sum_amplitudes(scenario: SlitScenario, indices: Iterable[int]) -> complex:
@@ -254,6 +254,17 @@ def _sum_amplitudes(scenario: SlitScenario, indices: Iterable[int]) -> complex:
         raise ValueError("amplitude sum is too large for a float") from None
 
 
+def _open_members(scenario: SlitScenario, group: Iterable[int]) -> list[int]:
+    """The group's path indices in order, each checked to name an open path."""
+    members = sorted(frozenset(group))
+    for index in members:
+        scenario.check_index(index)
+        path = scenario.paths[index]
+        if not path.is_open:
+            raise ClosedPathInGroup(f"path {path.label!r} is closed")
+    return members
+
+
 def group_amplitude(scenario: SlitScenario, group: Iterable[int]) -> complex:
     """Sum of path amplitudes over a group of open paths.
 
@@ -261,13 +272,7 @@ def group_amplitude(scenario: SlitScenario, group: Iterable[int]) -> complex:
     complex sum of its members.  An empty group sums to zero; a sum too
     large for a float raises ValueError.
     """
-    members = frozenset(group)
-    for index in members:
-        scenario.check_index(index)
-        path = scenario.paths[index]
-        if not path.is_open:
-            raise ClosedPathInGroup(f"path {path.label!r} is closed")
-    return _sum_amplitudes(scenario, members)
+    return _sum_amplitudes(scenario, _open_members(scenario, group))
 
 
 def counting_rate(scenario: SlitScenario, open_mask: Iterable[int]) -> float:

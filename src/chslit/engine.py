@@ -24,14 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .core import Partition, SlitScenario
-from .errors import (
-    BadIndex,
-    ClosedPathInGroup,
-    DegenerateDetector,
-    InconsistentSet,
-    NoOpenPaths,
-)
+from .core import Partition, SlitScenario, _open_members
+from .errors import BadIndex, DegenerateDetector, NoOpenPaths
 
 DETECTED = "detected"
 UNDETECTED = "undetected"
@@ -162,16 +156,15 @@ def _check_mode_and_tolerance(mode: str, tolerance: float) -> None:
 
 
 def _decide(
-    sums: Sequence[complex], counts: Sequence[int], n: int, k: int, scale: float, mode: str, tolerance: float
+    sums: Sequence[complex], counts: Sequence[int], k: int, scale: float, mode: str, tolerance: float
 ) -> tuple[bool, list[float] | None, float, complex, tuple[int, int] | None, float]:
     """The closed-form decoherence functional of one partition, judged.
 
-    ``sums[:n]`` and ``counts[:n]`` hold each group's sum of model
-    amplitudes and its size; ``k`` is the number of open paths.  The
-    undetected block mirrors the detected one and the cross block vanishes,
-    so the worst entry is the detected one of the first group pair
-    ``g < h`` maximising ``|conj(c_h) * c_g|`` (medium) or its real part
-    (weak).  The tolerance is relative to the largest diagonal value, which
+    ``sums`` and ``counts`` hold each group's sum of model amplitudes and
+    its size; ``k`` is the number of open paths.  The undetected block
+    mirrors the detected one and the cross block vanishes, so the worst
+    entry is the detected one of the first group pair ``g < h`` maximising
+    ``|conj(c_h) * c_g|`` (medium) or its real part (weak).  The tolerance is relative to the largest diagonal value, which
     is at least ``1/(2n)`` because the diagonal sums to 1.
 
     Returns ``(consistent, diagonal, max_violation, entry, pair,
@@ -180,6 +173,7 @@ def _decide(
     ``entry`` is the worst entry and ``pair`` its groups (0j and None for a
     single group).
     """
+    n = len(sums)
     max_diag = 0.0
     top = second = -1.0
     g1 = g2 = 0
@@ -217,7 +211,7 @@ def _decide(
     tolerance_used = tolerance * max_diag
     if violation > tolerance_used:
         return False, None, violation, entry, pair, tolerance_used
-    detected = [m * m * scale for m in map(abs, sums[:n])]
+    detected = [m * m * scale for m in map(abs, sums)]
     diagonal = detected + [counts[g] / k - detected[g] for g in range(n)]
     return True, diagonal, violation, entry, pair, tolerance_used
 
@@ -225,12 +219,8 @@ def _decide(
 def _group_sum(model: ExperimentModel, group: Iterable[int]) -> complex:
     """Sum of the model amplitudes over a group of open paths, in index
     order, as the enumeration accumulates it."""
-    scenario = model.scenario
     total = 0j
     for index in sorted(group):
-        scenario.check_index(index)
-        if not scenario.paths[index].is_open:
-            raise ClosedPathInGroup(f"path {scenario.path_label(index)!r} is closed")
         total += model.amplitudes[index]
     return total
 
@@ -253,7 +243,7 @@ def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance:
     groups = partition.groups
     sums = [_group_sum(model, g) for g in groups]
     counts = [len(g) for g in groups]
-    return _decide(sums, counts, len(groups), model.scenario.n_open, model.scale, mode, tolerance)
+    return _decide(sums, counts, model.scenario.n_open, model.scale, mode, tolerance)
 
 
 def group_decoherence_closed_form(
@@ -270,11 +260,9 @@ def group_decoherence_closed_form(
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}")
     model = build_experiment(scenario)
-    g, g2 = frozenset(group), frozenset(group2)
-    sums = [_group_sum(model, g), _group_sum(model, g2)]
-    k = scenario.n_open
-    value = _decide(sums, [len(g), len(g2)], 2, k, model.scale, MODE_MEDIUM, 0.0)[3]
-    return value if branch == DETECTED else len(g & g2) / k - value
+    g, g2 = _open_members(scenario, group), _open_members(scenario, group2)
+    value = _group_sum(model, g2).conjugate() * _group_sum(model, g) * model.scale
+    return value if branch == DETECTED else len(set(g) & set(g2)) / scenario.n_open - value
 
 
 def check_consistency(
@@ -295,21 +283,3 @@ def check_consistency(
     if not consistent:
         offending = tuple(_history_label(model.scenario, partition.groups[g], DETECTED) for g in pair)
     return ConsistencyReport(mode, consistent, violation, offending, tolerance_used)
-
-
-def history_probabilities(
-    model: ExperimentModel,
-    partition: Partition,
-    mode: str = MODE_MEDIUM,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Framework:
-    """The partition as a framework: its diagonal decoherence values as
-    probabilities, keyed by (group, branch), refused unless the partition
-    passes consistency."""
-    verdict = _verdict(model, partition, mode, tolerance)
-    if not verdict[0]:
-        raise InconsistentSet(
-            f"partition is not a consistent set in {mode} mode: "
-            f"max violation {verdict[2]:.3e} exceeds tolerance {verdict[5]:.3e}"
-        )
-    return _framework(partition, mode, verdict)

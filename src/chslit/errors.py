@@ -62,10 +62,6 @@ class NotInFramework(ChslitError):
     forbids assigning it a probability here."""
 
 
-#: The same error, under the name ``conditional_probability`` first raised.
-NotInPartition = NotInFramework
-
-
 class MeaninglessCombination(ChslitError):
     """Neither framework refines the other, so no joint context exists."""
 

@@ -10,11 +10,10 @@ can retrodict, with certainty, that a detected particle took disjoint paths.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .core import Partition
 from .engine import (
@@ -28,10 +27,11 @@ from .engine import (
     _check_mode_and_tolerance,
     _decide,
     _framework,
-    history_probabilities,
+    _verdict,
 )
 from .errors import (
     ConditionUnsatisfied,
+    InconsistentSet,
     MeaninglessCombination,
     NotInFramework,
     TooLarge,
@@ -67,39 +67,6 @@ class ContradictionRecord:
     p_b: float
 
 
-def _iter_rgs(n: int) -> Iterator[list[int]]:
-    """Restricted growth strings of length n in lexicographic order.
-
-    Yields an internal buffer that is mutated between steps; callers must
-    copy anything they keep.
-    """
-    code = [0] * n
-    prefix_max = [0] * n  # prefix_max[i] = max(code[:i]), entry 0 unused
-    while True:
-        yield code
-        i = n - 1
-        while i > 0 and code[i] == prefix_max[i] + 1:
-            i -= 1
-        if i == 0:
-            return
-        code[i] += 1
-        new_max = code[i] if code[i] > prefix_max[i] else prefix_max[i]
-        for j in range(i + 1, n):
-            code[j] = 0
-            prefix_max[j] = new_max
-
-
-def _partition_from_code(code: list[int], items: Sequence[int]) -> Partition:
-    """The partition of ``items`` that puts ``items[j]`` in group ``code[j]``."""
-    groups: list[list[int]] = []
-    for item, g in zip(items, code):
-        if g == len(groups):
-            groups.append([item])
-        else:
-            groups[g].append(item)
-    return Partition(tuple(frozenset(g) for g in groups))
-
-
 def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_PATHS) -> Iterator[Partition]:
     """Stream every set partition of n paths exactly once, coarsest first.
 
@@ -111,20 +78,43 @@ def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_PATHS) -> Iterator[Par
         raise ValueError("partition enumeration needs at least one path")
     if n > max_n:
         raise TooLarge(f"{n} paths exceeds the enumeration cap of {max_n}")
-    return (_partition_from_code(code, range(n)) for code in _iter_rgs(n))
+
+    def place(groups: list[list[int]], path: int) -> Iterator[Partition]:
+        # The path joins each open group in turn, then opens a new one: the
+        # lexicographic order of the restricted growth strings.
+        if path == n:
+            yield Partition(tuple(map(frozenset, groups)))
+            return
+        for group in groups:
+            group.append(path)
+            yield from place(groups, path + 1)
+            group.pop()
+        groups.append([path])
+        yield from place(groups, path + 1)
+        groups.pop()
+
+    return place([], 0)
 
 
-def build_framework(
+def history_probabilities(
     model: ExperimentModel,
     partition: Partition,
     mode: str = MODE_MEDIUM,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Framework:
-    """Check a partition and wrap it with its probability table.
+    """The partition as a framework: its diagonal decoherence values as
+    probabilities, keyed by (group, branch), refused with InconsistentSet
+    unless the partition passes consistency."""
+    verdict = _verdict(model, partition, mode, tolerance)
+    if not verdict[0]:
+        raise InconsistentSet(
+            f"partition is not a consistent set in {mode} mode: "
+            f"max violation {verdict[2]:.3e} exceeds tolerance {verdict[5]:.3e}"
+        )
+    return _framework(partition, mode, verdict)
 
-    Raises InconsistentSet when the partition fails consistency.
-    """
-    return history_probabilities(model, partition, mode=mode, tolerance=tolerance)
+
+build_framework = history_probabilities
 
 
 def enumerate_consistent_frameworks(
@@ -194,7 +184,7 @@ def enumerate_consistent_frameworks(
                 if near[slots[c]]:
                     return  # built elsewhere, with this carrier as a near-zero subset
             sizes = [*map(int.bit_count, slots)]
-            verdict = _decide([*map(sum_of, slots)], sizes, len(slots), k, scale, mode, tolerance)
+            verdict = _decide([*map(sum_of, slots)], sizes, k, scale, mode, tolerance)
             if verdict[0]:
                 partition = Partition(tuple(map(group_of, slots)))
                 found.append((key, _framework(partition, mode, verdict)))
@@ -252,14 +242,11 @@ def conditional_probability(
     model: ExperimentModel,
     partition: Partition,
     group: Iterable[int],
-    given: str = DETECTED,
     mode: str = MODE_MEDIUM,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> float:
     """Probability of a group union in the partition's framework, conditioned
     on detection."""
-    if given != DETECTED:
-        raise ValueError("conditioning is only supported on the detected branch")
     framework = build_framework(model, partition, mode=mode, tolerance=tolerance)
     return query_event(framework, frozenset(group), given_detected=True)
 
@@ -414,34 +401,31 @@ def find_contradictions(
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, (_, (core, span, *_)) in enumerate(judged):
         buckets.setdefault((core, span), []).append(i)
-    # For each bucket, the buckets it can clash with: their members and the
-    # record kinds, seen from this bucket's side.
-    partners: dict[tuple[int, int], list[tuple[list[int], tuple[bool, bool, bool]]]] = {key: [] for key in buckets}
+    # Every pair i < j from buckets that can clash, with the record kinds
+    # seen from i's side, in the order of itertools.combinations.
+    pairs: list[tuple[int, int, tuple[bool, bool, bool]]] = []
     for key_a, key_b in itertools.combinations_with_replacement(buckets, 2):
         disjoint, a_in_b, b_in_a = kinds = _clash_kinds(key_a, key_b)
         if any(kinds):
-            partners[key_a].append((buckets[key_b], kinds))
-            if key_b != key_a:
-                partners[key_b].append((buckets[key_a], (disjoint, b_in_a, a_in_b)))
+            flipped = (disjoint, b_in_a, a_in_b)
+            for i in buckets[key_a]:
+                for j in buckets[key_b]:
+                    if i < j:
+                        pairs.append((i, j, kinds))
+                    elif key_a != key_b:
+                        pairs.append((j, i, flipped))
+    pairs.sort()
 
     event = functools.cache(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
     events = functools.cache(lambda i: _clash_events(judged[i][1], event))
     records: list[ContradictionRecord] = []
-    for i, (fa, (core, span, *_)) in enumerate(judged):
-        later = [
-            (j, kinds) for members, kinds in partners[core, span] for j in members[bisect.bisect_right(members, i) :]
-        ]
-        if not later:
-            continue
-        later.sort()
-        certain_a, null_a = events(i)
-        for j, (disjoint, a_in_b, b_in_a) in later:
-            fb = judged[j][0]
-            certain_b, null_b = events(j)
-            if disjoint:
-                records += _disjoint_certainties(fa, fb, certain_a, certain_b)
-            if a_in_b:
-                records += _implications(fa, fb, certain_a, null_b)
-            if b_in_a:
-                records += _implications(fb, fa, certain_b, null_a)
+    for i, j, (disjoint, a_in_b, b_in_a) in pairs:
+        (fa, _), (fb, _) = judged[i], judged[j]
+        (certain_a, null_a), (certain_b, null_b) = events(i), events(j)
+        if disjoint:
+            records += _disjoint_certainties(fa, fb, certain_a, certain_b)
+        if a_in_b:
+            records += _implications(fa, fb, certain_a, null_b)
+        if b_in_a:
+            records += _implications(fb, fa, certain_b, null_a)
     return records

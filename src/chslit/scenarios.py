@@ -73,10 +73,8 @@ def load_scenario(data: str | bytes) -> SlitScenario:
     structural problems, and PartSumMismatch when a slit's parts do not sum
     to its amplitude.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"scenario document is not valid JSON: {exc}") from exc
     except RecursionError:

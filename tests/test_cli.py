@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chslit
 from chslit import (
@@ -363,6 +367,23 @@ def test_rates_bad_mask(capsys):
     assert "--mask" in err
 
 
+_INDEX_FLAGS = {
+    "--partition": lambda value: ["check", *DEMO, "--partition", value],
+    "--framework": lambda value: ["query", *DEMO, "--framework", value, "--event", "3"],
+    "--event": lambda value: ["query", *DEMO, "--framework", "1,2|3", "--event", value],
+    "--and": lambda value: ["query", *DEMO, "--framework", "1,2|3", "--event", "3", "--and", f"{value}@1,2|3"],
+    "--mask": lambda value: ["rates", *DEMO, "--mask", value],
+}
+
+
+@pytest.mark.parametrize("value", ["", "x", "9"], ids=["empty", "non-integer", "out-of-range"])
+@pytest.mark.parametrize("flag", sorted(_INDEX_FLAGS))
+def test_bad_index_is_one_line_naming_its_flag(capsys, flag, value):
+    code, out, err = run(capsys, *_INDEX_FLAGS[flag](value))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"chslit: error: {flag}: "), err
+
+
 def test_rates_json_round_trip(capsys):
     code, out, _ = run(capsys, "rates", *DEMO, "--mask", "1,2,3", "--all-single", "--format", "json")
     assert code == 0
@@ -425,6 +446,16 @@ def test_zero_tolerance_keeps_the_exact_cancellations(capsys):
     code, out, _ = run(capsys, "check", *DEMO, "--partition", "1,2,3", "--tol", "0")
     assert code == 0
     assert "max violation: 0" in out.splitlines()
+
+
+def test_negative_zero_tolerance_is_reported_as_zero(capsys):
+    code, out, _ = run(capsys, "check", *DEMO, "--partition", "1,2|3", "--tol", "-0")
+    assert code == 0
+    assert "tolerance used: 0" in out.splitlines()
+    code, out, _ = run(capsys, "check", *DEMO, "--partition", "1,2|3", "--tol", "-0", "--format", "json")
+    report = json.loads(out)
+    for value in (report["tolerance"], report["payload"]["tolerance_used"]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -501,6 +532,104 @@ def test_rates_too_large_for_a_float_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "rates", "--file", str(path), "--all-single")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "too large" in err
+
+
+# -- arbitrary input ---------------------------------------------------------------------
+
+
+_AMPLITUDES = st.one_of(
+    st.sampled_from([1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0j, 2 - 1j, 0j]),
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+)
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(), st.integers(-10**400, 10**400))
+_BAD_INDICES = st.one_of(st.sampled_from(["", "x", "9", "1|1", "1,,2"]), st.text(alphabet="0123,|@ x-", max_size=6))
+
+
+def _amplitude_field(z: complex) -> dict[str, float]:
+    return {"re": z.real, "im": z.imag}
+
+
+@st.composite
+def _documents(draw) -> tuple[bytes, int]:
+    """A scenario document with at most six paths and its number of open
+    paths.  One field is broken in a quarter of them, and one in eight is
+    arbitrary bytes."""
+    if draw(st.sampled_from(["document"] * 7 + ["bytes"])) == "bytes":
+        return draw(st.binary(max_size=12)), 3
+    slits = []
+    n_open = 0
+    for i in range(draw(st.integers(1, 3))):
+        parts = draw(st.lists(_AMPLITUDES, max_size=2))
+        amplitude = sum(parts) if parts else draw(_AMPLITUDES)
+        is_open = draw(st.sampled_from([True, True, False]))
+        slit = {"label": f"S{i + 1}", "amplitude": _amplitude_field(amplitude), "open": is_open}
+        if parts:
+            slit["parts"] = [{"label": f"p{j}", "amplitude": _amplitude_field(a)} for j, a in enumerate(parts)]
+        slits.append(slit)
+        n_open += is_open * max(len(parts), 1)
+    doc = {"version": 1, "name": "fuzz", "slits": slits}
+    if draw(st.sampled_from(["keep"] * 3 + ["break"])) == "break":
+        target = draw(st.sampled_from([doc, *slits]))
+        target[draw(st.sampled_from(sorted(target)))] = draw(_JUNK)
+    return json.dumps(doc).encode(), n_open
+
+
+def _partitions(n: int):
+    """Partition text over positions 1..n, from each position's group number."""
+    def text(numbers: list[int]) -> str:
+        groups: dict[int, list[str]] = {}
+        for position, number in enumerate(numbers, 1):
+            groups.setdefault(number, []).append(str(position))
+        return "|".join(",".join(members) for members in groups.values())
+
+    return st.lists(st.integers(0, 2), min_size=n, max_size=n).map(text) if n else st.just("1")
+
+
+def _mostly(good, bad):
+    """Values from ``good`` three times in four, else from ``bad``."""
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda strategy: strategy)
+
+
+def _flags(command: str, n: int) -> tuple[dict, dict]:
+    """The flags a command requires and those it may take, with values for
+    a scenario of n open paths."""
+    partition = _mostly(_partitions(n), _BAD_INDICES)
+    event = _mostly(_partitions(n).map(lambda text: text.split("|")[0]), _BAD_INDICES)
+    caps = st.sampled_from(["12", "1", "3", "0", "x"])
+    modes = {
+        "--mode": st.sampled_from(["medium", "weak", "strong"]),
+        "--tol": st.sampled_from(["1e-10", "0", "-0", "1e-3", "nan", "-1", "x"]),
+        "--format": st.sampled_from(["text", "json"]),
+    }
+    return {
+        "check": ({"--partition": partition}, modes),
+        "frameworks": ({}, {"--max-n": caps, **modes}),
+        "query": (
+            {"--framework": partition, "--event": event},
+            {"--and": _mostly(st.tuples(event, partition).map("@".join), _BAD_INDICES), "--given-detected": None,
+             **modes},
+        ),
+        "contradictions": ({}, {"--max-n": caps, **modes}),
+        "rates": ({"--mask": event}, {"--all-single": None, "--format": modes["--format"]}),
+    }[command]
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=_documents(), command=st.sampled_from(["check", "frameworks", "query", "contradictions", "rates"]),
+       data=st.data())
+def test_main_returns_an_exit_code_and_never_raises(tmp_path_factory, document, command, data):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_bytes(document[0])
+    required, optional = _flags(command, document[1])
+    argv = [command, "--file", str(path)]
+    for flag, values in required.items():
+        argv += [flag, data.draw(values)]
+    for flag, values in optional.items():
+        if data.draw(st.booleans()):
+            argv += [flag] if values is None else [flag, data.draw(values)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
 
 
 # -- packaging ----------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from chslit import (
     SlitScenario,
     counting_rate,
     format_partition,
+    format_scenario_partition,
     group_amplitude,
     parse_partition,
     partition_on_paths,
-    partition_on_positions,
 )
 from conftest import make_scenario
 
@@ -273,7 +273,7 @@ def test_partition_resolution_with_closed_slit():
     positional = parse_partition("1,2|3", 3)
     resolved = partition_on_paths(scenario, positional)
     assert resolved == Partition((frozenset({1, 2}), frozenset({3})))
-    assert partition_on_positions(scenario, resolved) == positional
+    assert format_scenario_partition(scenario, resolved) == format_partition(positional)
 
 
 def test_partition_resolution_identity_when_all_open():

@@ -23,7 +23,7 @@ from chslit import (
     History,
     InconsistentSet,
     NoOpenPaths,
-    NotInPartition,
+    NotInFramework,
     Partition,
     UNDETECTED,
     build_experiment,
@@ -473,7 +473,7 @@ def test_conditional_probability_union_of_groups():
 
 def test_conditional_probability_event_not_in_partition():
     model = build_experiment(THREE_SLIT)
-    with pytest.raises(NotInPartition):
+    with pytest.raises(NotInFramework):
         conditional_probability(model, SPLIT_12_3, {0})
 
 
@@ -484,12 +484,6 @@ def test_conditional_probability_null_condition():
     partition = Partition((frozenset({1}), frozenset({2})))
     with pytest.raises(ConditionUnsatisfied):
         conditional_probability(model, partition, {1})
-
-
-def test_conditional_probability_rejects_other_conditions():
-    model = build_experiment(THREE_SLIT)
-    with pytest.raises(ValueError):
-        conditional_probability(model, SPLIT_12_3, {2}, given="undetected")
 
 
 def test_coarse_graining_additivity_on_weakly_consistent_partitions():

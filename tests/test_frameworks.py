@@ -32,6 +32,7 @@ from chslit import (
 )
 from conftest import (
     brute_consistent_partitions,
+    brute_partitions,
     brute_contradictions,
     make_scenario,
     random_amplitudes,
@@ -59,6 +60,18 @@ def test_partition_counts_match_bell_numbers(n):
 def test_enumeration_order_is_canonical_for_three_paths():
     texts = [format_partition(p) for p in enumerate_partitions(3)]
     assert texts == ["1,2,3", "1,2|3", "1,3|2", "1|2,3", "1|2|3"]
+
+
+def _growth_string(groups, n):
+    """Each path's group number, groups numbered by their smallest member."""
+    number = {i: g for g, group in enumerate(sorted(groups, key=min)) for i in group}
+    return tuple(number[i] for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_lists_growth_strings_in_sorted_order(n):
+    expected = sorted(_growth_string(blocks, n) for blocks in brute_partitions(range(n)))
+    assert [_growth_string(p.groups, n) for p in enumerate_partitions(n)] == expected
 
 
 def test_enumeration_streams_from_coarsest_to_finest():

@@ -102,6 +102,18 @@ def test_load_rejects_malformed_json():
         load_scenario("{not json")
 
 
+def test_undecodable_bytes_are_a_parse_error(tmp_path, capsys):
+    from chslit.cli import main
+
+    with pytest.raises(ParseError):
+        load_scenario(b"\xff{}")
+    path = tmp_path / "latin1.json"
+    path.write_bytes(THREE_SLIT_DOC.replace("S1", "S\xe9").encode("latin-1"))
+    assert main(["frameworks", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "not valid JSON" in err
+
+
 @pytest.mark.parametrize(
     "mutate, field_path",
     [
