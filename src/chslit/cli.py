@@ -248,11 +248,10 @@ def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
             {"path": index + 1, "label": scenario.path_label(index), "rate": counting_rate(scenario, {index})}
             for index in scenario.open_indices
         ]
-        total = 0.0
-        for single in singles:
-            total += single["rate"]
-        if math.isinf(total):
-            raise ValueError("sum of single-path rates is too large for a float")
+        try:
+            total = math.fsum(single["rate"] for single in singles)
+        except OverflowError:
+            raise ValueError("sum of single-path rates is too large for a float") from None
         all_open_rate = counting_rate(scenario, scenario.open_indices)
         payload["singles"] = singles
         payload["singles_total"] = total

@@ -35,10 +35,6 @@ def _require_finite(value: complex, what: str) -> complex:
     return z
 
 
-def _modulus(z: complex, unit: float) -> float:
-    return math.hypot(z.real / unit, z.imag / unit)
-
-
 @dataclass(frozen=True)
 class Path:
     """One flattened path: its stable dense index, display label, amplitude
@@ -76,15 +72,16 @@ class Slit:
             labels = [p.label for p in self.parts]
             if len(set(labels)) != len(labels):
                 raise ValueError(f"slit {self.label!r} has duplicate part labels")
-            total = sum((p.amplitude for p in self.parts), 0j)
             values = [self.amplitude, *(p.amplitude for p in self.parts)]
-            # Moduli in units of the largest component, so none overflows.
-            unit = max(max(abs(z.real), abs(z.imag)) for z in values) or 1.0
-            size = max(_modulus(z, unit) for z in values)
-            if _modulus(total - self.amplitude, unit) > PART_SUM_TOLERANCE * size:
+            # In the power-of-two unit of the largest component: scaling loses
+            # nothing the tolerance can see, and no sum or modulus overflows.
+            unit = math.ldexp(1.0, math.frexp(max(max(abs(z.real), abs(z.imag)) for z in values))[1] - 1)
+            scaled = [complex(z.real / unit, z.imag / unit) for z in values]
+            total = _sum_amplitudes(scaled[1:])
+            if abs(total - scaled[0]) > PART_SUM_TOLERANCE * max(map(abs, scaled)):
                 raise PartSumMismatch(
                     self.label,
-                    f"parts of slit {self.label!r} sum to {total}, expected {self.amplitude}",
+                    f"parts of slit {self.label!r} sum to {total * unit}, expected {self.amplitude}",
                 )
 
 
@@ -233,23 +230,28 @@ def parse_scenario_partition(scenario: SlitScenario, text: str) -> Partition:
     return partition_on_paths(scenario, parse_partition(text, scenario.n_open))
 
 
+def _check_covers_open(scenario: SlitScenario, partition: Partition) -> None:
+    if partition.universe != frozenset(scenario.open_indices):
+        raise BadIndex("partition must cover exactly the scenario's open paths")
+
+
 def format_scenario_partition(scenario: SlitScenario, partition: Partition) -> str:
     """Canonical text of a path-index partition, numbered over open positions.
 
     Positions rise with path indices, so the groups and their members keep
     their order."""
-    if partition.universe != frozenset(scenario.open_indices):
-        raise BadIndex("partition must cover exactly the scenario's open paths")
+    _check_covers_open(scenario, partition)
     position = {index: str(j + 1) for j, index in enumerate(scenario.open_indices)}
     return "|".join(",".join(position[i] for i in sorted(g)) for g in partition.groups)
 
 
-def _sum_amplitudes(scenario: SlitScenario, indices: Iterable[int]) -> complex:
-    # fsum keeps the sum correctly rounded and independent of group order,
-    # which is what makes disjoint groups add exactly.
-    amps = [scenario.paths[i].amplitude for i in sorted(indices)]
+def _sum_amplitudes(amplitudes: Iterable[complex]) -> complex:
+    """The correctly rounded sum of complex amplitudes, the one way the
+    package adds them: it does not depend on their order, so exact
+    cancellations cancel however the paths are listed."""
+    amps = list(amplitudes)
     try:
-        return complex(math.fsum(a.real for a in amps), math.fsum(a.imag for a in amps))
+        return complex(math.fsum([a.real for a in amps]), math.fsum([a.imag for a in amps]))
     except OverflowError:
         raise ValueError("amplitude sum is too large for a float") from None
 
@@ -272,7 +274,7 @@ def group_amplitude(scenario: SlitScenario, group: Iterable[int]) -> complex:
     complex sum of its members.  An empty group sums to zero; a sum too
     large for a float raises ValueError.
     """
-    return _sum_amplitudes(scenario, _open_members(scenario, group))
+    return _sum_amplitudes(scenario.amplitudes[i] for i in _open_members(scenario, group))
 
 
 def counting_rate(scenario: SlitScenario, open_mask: Iterable[int]) -> float:
@@ -286,9 +288,7 @@ def counting_rate(scenario: SlitScenario, open_mask: Iterable[int]) -> float:
     mask = frozenset(open_mask)
     if not mask:
         raise EmptyMask("counting rate needs at least one open path")
-    for index in mask:
-        scenario.check_index(index)
     try:
-        return abs(_sum_amplitudes(scenario, mask)) ** 2
+        return abs(_sum_amplitudes(scenario.amplitudes[scenario.check_index(i)] for i in mask)) ** 2
     except OverflowError:
         raise ValueError("counting rate is too large for a float") from None

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .core import Partition, SlitScenario, _open_members
-from .errors import BadIndex, DegenerateDetector, NoOpenPaths
+from .core import Partition, SlitScenario, _check_covers_open, _open_members, _sum_amplitudes
+from .errors import DegenerateDetector, NoOpenPaths
 
 DETECTED = "detected"
 UNDETECTED = "undetected"
@@ -117,7 +117,7 @@ def build_experiment(scenario: SlitScenario) -> ExperimentModel:
         raise DegenerateDetector("all amplitudes vanish; detector direction undefined")
     shift = 1 - math.frexp(largest)[1]
     amplitudes = tuple(complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift)) for a in scenario.amplitudes)
-    norm_sq = sum(abs(a) ** 2 for a in amplitudes)
+    norm_sq = math.fsum(abs(a) ** 2 for a in amplitudes)
     return ExperimentModel(scenario, amplitudes, 1.0 / (scenario.n_open * norm_sq))
 
 
@@ -145,14 +145,15 @@ class Framework:
     report: ConsistencyReport
 
     def detected_total(self) -> float:
-        return sum(p for (_, branch), p in self.probabilities.items() if branch == DETECTED)
+        return math.fsum(p for (_, branch), p in self.probabilities.items() if branch == DETECTED)
 
 
-def _check_mode_and_tolerance(mode: str, tolerance: float) -> None:
+def _check_mode_and_tolerance(mode: str, tolerance: float) -> float:
     if mode not in MODES:
         raise ValueError(f"unknown consistency mode {mode!r}")
     if not (tolerance >= 0.0 and math.isfinite(tolerance)):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    return abs(tolerance)  # -0 passes the test above; report it as 0
 
 
 def _decide(
@@ -164,8 +165,9 @@ def _decide(
     its size; ``k`` is the number of open paths.  The undetected block
     mirrors the detected one and the cross block vanishes, so the worst
     entry is the detected one of the first group pair ``g < h`` maximising
-    ``|conj(c_h) * c_g|`` (medium) or its real part (weak).  The tolerance is relative to the largest diagonal value, which
-    is at least ``1/(2n)`` because the diagonal sums to 1.
+    ``|conj(c_h) * c_g|`` (medium), the product of the two largest moduli
+    however ties are paired, or its real part (weak).  The tolerance is
+    relative to the largest diagonal value, at least ``1/(2n)``.
 
     Returns ``(consistent, diagonal, max_violation, entry, pair,
     tolerance_used)``: ``diagonal`` lists the detected then the undetected
@@ -196,7 +198,7 @@ def _decide(
         # The largest |c_g| * |c_h| pairs the two largest moduli.
         pair = (g1, g2) if g1 < g2 else (g2, g1)
         entry = sums[pair[1]].conjugate() * sums[pair[0]] * scale
-        violation = abs(entry)
+        violation = top * second * scale
     elif n > 1:
         violation = -1.0
         for g in range(n):
@@ -216,15 +218,6 @@ def _decide(
     return True, diagonal, violation, entry, pair, tolerance_used
 
 
-def _group_sum(model: ExperimentModel, group: Iterable[int]) -> complex:
-    """Sum of the model amplitudes over a group of open paths, in index
-    order, as the enumeration accumulates it."""
-    total = 0j
-    for index in sorted(group):
-        total += model.amplitudes[index]
-    return total
-
-
 def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) -> str:
     return "{%s} then %s" % (",".join(scenario.path_label(i) for i in sorted(group)), branch)
 
@@ -237,11 +230,10 @@ def _framework(partition: Partition, mode: str, verdict) -> Framework:
 
 
 def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance: float):
-    _check_mode_and_tolerance(mode, tolerance)
-    if partition.universe != frozenset(model.open_indices):
-        raise BadIndex("partition must cover exactly the scenario's open paths")
+    tolerance = _check_mode_and_tolerance(mode, tolerance)
+    _check_covers_open(model.scenario, partition)
     groups = partition.groups
-    sums = [_group_sum(model, g) for g in groups]
+    sums = [_sum_amplitudes(model.amplitudes[i] for i in g) for g in groups]
     counts = [len(g) for g in groups]
     return _decide(sums, counts, model.scenario.n_open, model.scale, mode, tolerance)
 
@@ -261,7 +253,8 @@ def group_decoherence_closed_form(
         raise ValueError(f"unknown branch {branch!r}")
     model = build_experiment(scenario)
     g, g2 = _open_members(scenario, group), _open_members(scenario, group2)
-    value = _group_sum(model, g2).conjugate() * _group_sum(model, g) * model.scale
+    c, c2 = (_sum_amplitudes(model.amplitudes[i] for i in members) for members in (g, g2))
+    value = c2.conjugate() * c * model.scale
     return value if branch == DETECTED else len(set(g) & set(g2)) / scenario.n_open - value
 
 

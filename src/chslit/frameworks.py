@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .core import Partition
+from .core import Partition, _sum_amplitudes
 from .engine import (
+    BRANCHES,
     DETECTED,
-    UNDETECTED,
     DEFAULT_TOLERANCE,
     MODE_MEDIUM,
     NULL_CONDITION,
@@ -133,39 +134,43 @@ def enumerate_consistent_frameworks(
 
     So each candidate is built once, from near-zero subsets plus at most one
     carrier group (two in weak mode) that is not near-zero, and judged by the
-    engine's closed-form kernel.  Subset sums are accumulated left to right,
-    like every group sum, so the verdicts equal ``check_consistency``'s bit
-    for bit.  The cost follows the near-zero subsets and the frameworks
-    returned, plus a table of 2**k subset sums.
+    engine's closed-form kernel on the group sums ``check_consistency`` uses.
+    The cost follows the near-zero subsets and the frameworks returned, plus
+    a table of 2**k subset sums that screens for the near-zero ones.
     """
-    _check_mode_and_tolerance(mode, tolerance)
+    tolerance = _check_mode_and_tolerance(mode, tolerance)
     open_indices = model.open_indices
     k = len(open_indices)
     if k > max_paths:
         raise TooLarge(f"{k} open paths exceeds the enumeration cap of {max_paths}")
     scale = model.scale
+    amplitudes = [model.amplitudes[i] for i in open_indices]
     n_carriers = 1 if mode == MODE_MEDIUM else 2
     # sums[S] for the open positions in bit mask S: the sum without the
-    # highest position, plus that position's amplitude.
+    # highest position, plus that position's amplitude.  Added left to right,
+    # an entry is off the exact sum by less than k * 2**-52 * sum |a|, so the
+    # screen widens the near-zero radius by that much (and the bound by a
+    # factor for the kernel's own rounding).  Marking too many subsets
+    # near-zero only adds candidates; the kernel decides on correctly rounded
+    # sums.
     sums = [0j]
-    for i in open_indices:
-        amp = model.amplitudes[i]
+    for amp in amplitudes:
         sums += [amp, *[s + amp for s in sums[1:]]]
-    # The slack absorbs rounding and the floor underflow.  Marking too many
-    # subsets near-zero only adds candidates; the kernel still decides.
-    bound = n_carriers * tolerance * (1.0 + 1e-9) + 1e-300
-    near = [mag * mag * scale <= bound for mag in map(abs, sums)]
+    bound = n_carriers * tolerance * (1.0 + 1e-9)
+    radius = math.sqrt(bound / scale) + k * 2.0**-52 * math.fsum(map(abs, amplitudes))
+    near = [mag <= radius for mag in map(abs, sums)]
     # A partition's restricted growth string, read as a base-k number, sorts
     # the frameworks; a group at slot g adds g times the weights of its
     # positions.  starts[j] lists each near-zero subset whose lowest position
-    # is j, with its weight.
+    # is j, with its weight.  exact[S] is the correctly rounded sum of subset
+    # S, for the near-zero ones and for each carrier once it is complete.
     weights = [k ** (k - 1 - j) for j in range(k)]
     starts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    exact: dict[int, complex] = {}
     for mask in itertools.compress(range(1, 1 << k), near[1:]):
-        weight = sum(w for j, w in enumerate(weights) if mask >> j & 1)
-        starts[(mask & -mask).bit_length() - 1].append((mask, weight))
-
-    sum_of = sums.__getitem__
+        members = [j for j in range(k) if mask >> j & 1]
+        exact[mask] = _sum_amplitudes(amplitudes[j] for j in members)
+        starts[members[0]].append((mask, sum(weights[j] for j in members)))
 
     @functools.cache
     def group_of(mask: int) -> frozenset[int]:
@@ -173,18 +178,19 @@ def enumerate_consistent_frameworks(
 
     found: list[tuple[int, Framework]] = []
     # The groups placed so far as position masks, by lowest position; the
-    # carriers sit at the slots listed in ``carriers`` and may still grow.
+    # carriers, listed in ``carriers`` as (slot, amplitudes), may still grow.
     slots: list[int] = []
-    carriers: list[int] = []
+    carriers: list[tuple[int, list[complex]]] = []
 
     def extend(rest: int, key: int) -> None:
         """Place the lowest of the unplaced positions ``rest``."""
         if not rest:
-            for c in carriers:
+            for c, amps in carriers:
                 if near[slots[c]]:
                     return  # built elsewhere, with this carrier as a near-zero subset
-            sizes = [*map(int.bit_count, slots)]
-            verdict = _decide([*map(sum_of, slots)], sizes, k, scale, mode, tolerance)
+                if slots[c] not in exact:
+                    exact[slots[c]] = _sum_amplitudes(amps)
+            verdict = _decide([*map(exact.__getitem__, slots)], [*map(int.bit_count, slots)], k, scale, mode, tolerance)
             if verdict[0]:
                 partition = Partition(tuple(map(group_of, slots)))
                 found.append((key, _framework(partition, mode, verdict)))
@@ -192,13 +198,15 @@ def enumerate_consistent_frameworks(
         low = rest & -rest
         tail = rest ^ low
         j = low.bit_length() - 1
-        for c in carriers:
+        for c, amps in carriers:
             slots[c] |= low
+            amps.append(amplitudes[j])
             extend(tail, key + c * weights[j])
+            amps.pop()
             slots[c] ^= low
         n = len(slots)
         if len(carriers) < n_carriers:
-            carriers.append(n)
+            carriers.append((n, [amplitudes[j]]))
             slots.append(low)
             extend(tail, key + n * weights[j])
             slots.pop()
@@ -229,13 +237,14 @@ def query_event(framework: Framework, event: frozenset[int] | set[int], given_de
             "event is not a union of this framework's groups; probabilities are "
             "only defined within a single consistent framework"
         )
-    detected_sum = sum(framework.probabilities[(g, DETECTED)] for g in covered)
+    branches = (DETECTED,) if given_detected else BRANCHES
+    event_sum = math.fsum(framework.probabilities[(g, branch)] for branch in branches for g in covered)
     if not given_detected:
-        return detected_sum + sum(framework.probabilities[(g, UNDETECTED)] for g in covered)
+        return event_sum
     total = framework.detected_total()
     if total <= NULL_CONDITION:
         raise ConditionUnsatisfied("detection has zero probability; conditioning undefined")
-    return detected_sum / total
+    return event_sum / total
 
 
 def conditional_probability(
@@ -254,16 +263,14 @@ def conditional_probability(
 def combine_queries(framework_a: Framework, framework_b: Framework) -> Framework:
     """The common context of two frameworks, when one exists.
 
-    Identical partitions combine to themselves; if one refines the other the
-    finer (already consistent) framework is the joint context.  Otherwise no
-    joint probability exists and the combination is refused.
+    If one partition refines the other (every partition refines itself),
+    the finer, already consistent, framework is the joint context.
+    Otherwise no joint probability exists and the combination is refused.
     """
     if framework_a.mode != framework_b.mode:
         raise ValueError("frameworks must be built in the same consistency mode")
     if framework_a.partition.universe != framework_b.partition.universe:
         raise ValueError("frameworks must describe the same open paths")
-    if framework_a.partition == framework_b.partition:
-        return framework_a
     if framework_a.partition.refines(framework_b.partition):
         return framework_a
     if framework_b.partition.refines(framework_a.partition):
@@ -285,8 +292,8 @@ def _clash_summary(framework: Framework, mask_of: Callable[[frozenset[int]], int
 
     Returns ``(core, span, detected, total, masks)``: ``masks`` holds each
     group as a bit mask of paths (``mask_of``) and ``detected`` its detected
-    probability.  An event's conditional probability is the sum of its
-    groups' terms in group order, divided once by ``total``, as in
+    probability.  An event's conditional probability is the correctly
+    rounded sum of its groups' terms, divided once by ``total``, as in
     :func:`query_event`.  Adding a non-negative term to such a sum never
     lowers it, so certain events are closed upward and null events downward.
     Hence every certain event contains ``core``, the paths of the groups G
@@ -302,7 +309,7 @@ def _clash_summary(framework: Framework, mask_of: Callable[[frozenset[int]], int
     detected = [framework.probabilities[(g, DETECTED)] for g in groups]
     masks = [*map(mask_of, groups)]
     core = sum(
-        m for g, m in enumerate(masks) if sum(detected[:g] + detected[g + 1 :]) / total < CERTAINTY_THRESHOLD
+        m for g, m in enumerate(masks) if math.fsum(detected[:g] + detected[g + 1 :]) / total < CERTAINTY_THRESHOLD
     )
     span = sum(m for m, p in zip(masks, detected) if p / total <= NULL_THRESHOLD)
     return core, span, detected, total, masks
@@ -323,10 +330,10 @@ def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Eve
     certain: _Events = []
     for r in range(len(free) + 1):
         for extra in itertools.combinations(free, r):
-            combo = sorted((*fixed, *extra))
+            combo = (*fixed, *extra)
             # Sum first, divide once: the same arithmetic as query_event, so
             # stored probabilities re-verify exactly.
-            p = sum(detected[g] for g in combo) / total
+            p = math.fsum(detected[g] for g in combo) / total
             if p >= CERTAINTY_THRESHOLD:
                 mask = sum(masks[g] for g in combo)
                 certain.append((mask, event(mask), p))
@@ -334,7 +341,7 @@ def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Eve
     null: _Events = []
     for r in range(1, len(inside) + 1):
         for combo in itertools.combinations(inside, r):
-            p = sum(detected[g] for g in combo) / total
+            p = math.fsum(detected[g] for g in combo) / total
             if p <= NULL_THRESHOLD:
                 mask = sum(masks[g] for g in combo)
                 null.append((mask, event(mask), p))

@@ -10,6 +10,7 @@ every pair of frameworks on every pair of group-union events.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterator, Sequence
 
@@ -153,7 +154,7 @@ def _certain_and_null_events(framework):
     for r in range(1, len(groups) + 1):
         for combo in itertools.combinations(range(len(groups)), r):
             event = frozenset().union(*(groups[i] for i in combo))
-            p = sum(detected[i] for i in combo) / total
+            p = math.fsum(detected[i] for i in combo) / total
             if p >= CERTAINTY_THRESHOLD:
                 certain.append((event, p))
             elif p <= NULL_THRESHOLD:

@@ -1,0 +1,215 @@
+"""Group sums are correctly rounded, so nothing depends on the slit order.
+
+Every amplitude sum goes through one ``math.fsum``-based helper and every
+probability sum through ``math.fsum``.  A correctly rounded sum does not
+depend on the order of its terms, so exact cancellations hold at
+``--tol 0`` however the slits are listed, and verdicts, probabilities and
+violations are the same bits under any permutation of the slits.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import chslit.engine
+import chslit.frameworks
+from chslit import (
+    BRANCHES,
+    DEFAULT_TOLERANCE,
+    Framework,
+    PartSumMismatch,
+    Partition,
+    Slit,
+    SlitPart,
+    build_experiment,
+    check_consistency,
+    enumerate_consistent_frameworks,
+    enumerate_partitions,
+    format_partition,
+    group_amplitude,
+    history_probabilities,
+    parse_partition,
+    query_event,
+)
+from chslit.cli import main
+from chslit.engine import MODES
+from conftest import make_scenario
+
+CANCELLING = [1e16, 1, -1e16, 3]
+
+
+def _partitions(amplitudes):
+    model = build_experiment(make_scenario(amplitudes))
+    return [format_partition(f.partition) for f in enumerate_consistent_frameworks(model, tolerance=0.0)]
+
+
+def _bits(frameworks, original):
+    """Each framework with paths renamed through ``original``, keyed by its
+    partition, with every float as its exact bits."""
+    out = {}
+    for framework in frameworks:
+        rename = {g: frozenset(original[i] for i in g) for g in framework.partition.groups}
+        report = framework.report
+        out[Partition(tuple(rename.values()))] = (
+            sorted((sorted(rename[g]), branch, p.hex()) for (g, branch), p in framework.probabilities.items()),
+            report.max_violation.hex(),
+            report.tolerance_used.hex(),
+        )
+    assert len(out) == len(frameworks)
+    return out
+
+
+# -- the cancelling group of four slits ----------------------------------------
+
+
+def test_a_cancelling_group_is_judged_on_its_exact_sum():
+    # Left to right, 1e16 + 1 - 1e16 is 0; exactly, it is 1.
+    scenario = make_scenario(CANCELLING)
+    assert group_amplitude(scenario, {0, 1, 2}) == 1
+    assert _partitions(CANCELLING) == ["1,2,3,4", "1,3|2,4"]
+    model = build_experiment(scenario)
+    assert not check_consistency(model, parse_partition("1,2,3|4", 4), tolerance=0.0).consistent
+    assert check_consistency(model, parse_partition("1,3|2,4", 4), tolerance=0.0).consistent
+
+
+def test_listing_the_cancelling_slits_in_another_order_changes_no_bit():
+    # (1e16, -1e16, 1, 3) lists the slits in the order 1, 3, 2, 4.
+    order = [0, 2, 1, 3]
+    for tolerance in (0.0, DEFAULT_TOLERANCE):
+        listed = enumerate_consistent_frameworks(build_experiment(make_scenario(CANCELLING)), tolerance=tolerance)
+        moved = build_experiment(make_scenario([CANCELLING[i] for i in order]))
+        assert _bits(enumerate_consistent_frameworks(moved, tolerance=tolerance), order) == _bits(listed, range(4))
+
+
+def test_cli_judges_the_cancelling_group_exactly(capsys, tmp_path):
+    slits = [{"label": f"S{i + 1}", "amplitude": {"re": a, "im": 0.0}, "open": True}
+             for i, a in enumerate(CANCELLING)]
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps({"version": 1, "name": "cancel", "slits": slits}))
+    assert main(["frameworks", "--file", str(path), "--tol", "0", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert [f["partition"] for f in payload["frameworks"]] == ["1,2,3,4", "1,3|2,4"]
+    assert main(["check", "--file", str(path), "--partition", "1,2,3|4", "--tol", "0"]) == 3
+    assert "consistent: no" in capsys.readouterr().out
+
+
+def test_the_screen_keeps_a_group_whose_table_sum_is_off_by_rounding():
+    # Group {1,3,4,5} cancels exactly, but left to right the subset table
+    # adds 7.6e-6 + 9.4e20 - 9.4e20 - 7.6e-6 to -7.6e-6.  The group only
+    # counts as near-zero because the screen is widened by the table's
+    # rounding bound.
+    amplitudes = [7.62939453125e-06, 6.821179377501088e23 - 0.875j, 9.395434552897212e20 + 3.0517578125e-05j,
+                  -9.395434552897212e20 - 3.0517578125e-05j, -7.62939453125e-06]
+    model = build_experiment(make_scenario(amplitudes))
+    walked = [
+        format_partition(p) for p in enumerate_partitions(5) if check_consistency(model, p, tolerance=0.0).consistent
+    ]
+    assert "1,3,4,5|2" in walked
+    assert _partitions(amplitudes) == walked
+
+
+# -- permuting the slits changes no bit ----------------------------------------
+
+
+_COMPONENT = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, m, e: sign * math.ldexp(m, e),
+              st.sampled_from((-1, 1)), st.integers(1, 2**20), st.integers(-60, 60)),
+)
+
+
+@st.composite
+def _cancelling_amplitudes(draw):
+    """Up to 7 amplitudes with components of +-m * 2**e over 120 binades, with
+    planted cancellations x, -x and -(x + y)."""
+    k = draw(st.integers(2, 7))
+    amplitudes = draw(st.lists(st.builds(complex, _COMPONENT, _COMPONENT), min_size=k, max_size=k))
+    index = st.integers(0, k - 1)
+    for i, j, l in draw(st.lists(st.tuples(index, index, index), max_size=3)):
+        if i != j:
+            amplitudes[j] = -amplitudes[i]
+            if l not in (i, j):
+                amplitudes[l] = -(amplitudes[i] + amplitudes[(l + 1) % k])
+    return amplitudes
+
+
+@settings(max_examples=150, deadline=None)
+@given(amplitudes=_cancelling_amplitudes(), data=st.data())
+def test_permuting_the_slits_changes_no_framework_bit(amplitudes, data):
+    if not any(amplitudes):
+        return
+    order = data.draw(st.permutations(range(len(amplitudes))))
+    model = build_experiment(make_scenario(amplitudes))
+    permuted = build_experiment(make_scenario([amplitudes[i] for i in order]))
+    for mode in MODES:
+        for tolerance in (0.0, DEFAULT_TOLERANCE):
+            listed = enumerate_consistent_frameworks(model, mode, tolerance)
+            moved = enumerate_consistent_frameworks(permuted, mode, tolerance)
+            assert _bits(moved, order) == _bits(listed, range(len(amplitudes))), (mode, tolerance)
+
+
+def test_equal_moduli_give_the_same_violation_in_any_order():
+    # In framework 1,3|2,4|5,6, groups {1,3} and {2,4} have sums of equal
+    # modulus but different phase.  Whichever of them the kernel pairs with
+    # {5,6}, the violation must be the same bits.
+    amplitudes = [-1.1781821740441956e-08 - 2.886260986328125j, -48873275392, 48873275392, -1.3337678184122126e-11,
+                  1.8822337076872847e23 + 1.4149021401570345e18j, 1.1781821740441956e-08 + 2.886260986328125j]
+    order = [3, 4, 5, 2, 1, 0]
+    listed = enumerate_consistent_frameworks(build_experiment(make_scenario(amplitudes)))
+    moved = enumerate_consistent_frameworks(build_experiment(make_scenario([amplitudes[i] for i in order])))
+    assert _bits(moved, order) == _bits(listed, range(len(amplitudes)))
+
+
+def _compensated_sum(values, start=0):
+    # Neumaier's summation, the way Python 3.12's builtin sum adds floats.
+    total, compensation = start, 0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_probability_sums_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # Left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001; correctly
+    # rounded, and compensated, it is 0.6.
+    groups = [frozenset({i}) for i in range(3)]
+    probabilities = {(g, branch): p for g, p in zip(groups, (0.1, 0.2, 0.3)) for branch in BRANCHES}
+    framework = Framework(Partition(tuple(groups)), "medium", probabilities, None)
+
+    def answers():
+        return [framework.detected_total(), query_event(framework, {0, 1, 2}),
+                query_event(framework, {1, 2}, given_detected=True)]
+
+    plain = answers()
+    assert plain[0] == 0.6 and plain[1] == 1.2
+    for module in (chslit.engine, chslit.frameworks):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert answers() == plain
+
+
+# -- parts, tolerance sign ------------------------------------------------------
+
+
+def test_parts_whose_running_sum_overflows_still_sum_to_the_slit():
+    slit = Slit("S1", 1e308, parts=(SlitPart("a", 1e308), SlitPart("b", 1e308), SlitPart("c", -1e308)))
+    assert [p.amplitude for p in slit.parts] == [1e308, 1e308, -1e308]
+    with pytest.raises(PartSumMismatch):
+        Slit("S1", 1e308, parts=(SlitPart("a", 1e308), SlitPart("b", 1e308)))
+
+
+def test_negative_zero_tolerance_is_reported_as_zero():
+    scenario = make_scenario([1, -1, 1])
+    model = build_experiment(scenario)
+    partition = parse_partition("1,2|3", 3)
+    used = [
+        check_consistency(model, partition, tolerance=-0.0).tolerance_used,
+        history_probabilities(model, partition, tolerance=-0.0).report.tolerance_used,
+        *(f.report.tolerance_used for f in enumerate_consistent_frameworks(model, tolerance=-0.0)),
+    ]
+    assert len(used) > 2
+    assert all(value == 0.0 and math.copysign(1.0, value) == 1.0 for value in used)
