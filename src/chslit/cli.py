@@ -456,10 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConditionUnsatisfied as exc:
         _fail(str(exc))
         return EXIT_NULL_CONDITION
-    except ChslitError as exc:
-        _fail(str(exc))
-        return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as exc:
+    except (ChslitError, OSError, ValueError) as exc:
         _fail(str(exc))
         return EXIT_INPUT_ERROR
 

@@ -158,7 +158,7 @@ def _check_mode_and_tolerance(mode: str, tolerance: float) -> float:
 
 def _decide(
     sums: Sequence[complex], counts: Sequence[int], k: int, scale: float, mode: str, tolerance: float
-) -> tuple[bool, list[float] | None, float, complex, tuple[int, int] | None, float]:
+) -> tuple[bool, list[float] | None, float, tuple[int, int] | None, float]:
     """The closed-form decoherence functional of one partition, judged.
 
     ``sums`` and ``counts`` hold each group's sum of model amplitudes and
@@ -169,11 +169,10 @@ def _decide(
     however ties are paired, or its real part (weak).  The tolerance is
     relative to the largest diagonal value, at least ``1/(2n)``.
 
-    Returns ``(consistent, diagonal, max_violation, entry, pair,
-    tolerance_used)``: ``diagonal`` lists the detected then the undetected
-    probabilities of the groups, and is None for an inconsistent set;
-    ``entry`` is the worst entry and ``pair`` its groups (0j and None for a
-    single group).
+    Returns ``(consistent, diagonal, max_violation, pair, tolerance_used)``:
+    ``diagonal`` lists the detected then the undetected probabilities of the
+    groups, and is None for an inconsistent set; ``pair`` holds the groups of
+    the worst entry (None for a single group).
     """
     n = len(sums)
     max_diag = 0.0
@@ -191,31 +190,27 @@ def _decide(
             second, g2, top, g1 = top, g1, mag, g
         elif mag > second:
             second, g2 = mag, g
-    entry = 0j
     pair = None
     violation = 0.0
     if n > 1 and mode == MODE_MEDIUM:
         # The largest |c_g| * |c_h| pairs the two largest moduli.
         pair = (g1, g2) if g1 < g2 else (g2, g1)
-        entry = sums[pair[1]].conjugate() * sums[pair[0]] * scale
         violation = top * second * scale
     elif n > 1:
-        violation = -1.0
+        largest = -1.0
         for g in range(n):
             s = sums[g]
             for h in range(g + 1, n):
-                value = sums[h].conjugate() * s
-                real = abs(value.real)
-                if real > violation:
-                    violation, entry, pair = real, value, (g, h)
-        entry *= scale
-        violation = abs(entry.real)
+                real = abs((sums[h].conjugate() * s).real)
+                if real > largest:
+                    largest, pair = real, (g, h)
+        violation = largest * scale
     tolerance_used = tolerance * max_diag
     if violation > tolerance_used:
-        return False, None, violation, entry, pair, tolerance_used
+        return False, None, violation, pair, tolerance_used
     detected = [m * m * scale for m in map(abs, sums)]
     diagonal = detected + [counts[g] / k - detected[g] for g in range(n)]
-    return True, diagonal, violation, entry, pair, tolerance_used
+    return True, diagonal, violation, pair, tolerance_used
 
 
 def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) -> str:
@@ -225,7 +220,7 @@ def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) ->
 def _framework(partition: Partition, mode: str, verdict) -> Framework:
     """Wrap a partition the kernel found consistent with its diagonal."""
     keys = [(group, branch) for branch in BRANCHES for group in partition.groups]
-    report = ConsistencyReport(mode, True, verdict[2], None, verdict[5])
+    report = ConsistencyReport(mode, True, verdict[2], None, verdict[4])
     return Framework(partition, mode, dict(zip(keys, verdict[1])), report)
 
 
@@ -271,7 +266,7 @@ def check_consistency(
     the largest diagonal value, so the verdict does not depend on the
     overall amplitude scale; it must be finite and non-negative.
     """
-    consistent, _, violation, _, pair, tolerance_used = _verdict(model, partition, mode, tolerance)
+    consistent, _, violation, pair, tolerance_used = _verdict(model, partition, mode, tolerance)
     offending = None
     if not consistent:
         offending = tuple(_history_label(model.scenario, partition.groups[g], DETECTED) for g in pair)

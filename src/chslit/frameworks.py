@@ -110,7 +110,7 @@ def history_probabilities(
     if not verdict[0]:
         raise InconsistentSet(
             f"partition is not a consistent set in {mode} mode: "
-            f"max violation {verdict[2]:.3e} exceeds tolerance {verdict[5]:.3e}"
+            f"max violation {verdict[2]:.3e} exceeds tolerance {verdict[4]:.3e}"
         )
     return _framework(partition, mode, verdict)
 
@@ -129,14 +129,14 @@ def enumerate_consistent_frameworks(
 
     The diagonal is non-negative and sums to 1, so ``tol * max_diag <= tol``:
     in medium mode every group but the largest has ``|c_G|^2 <= |c_1||c_2| <=
-    tol``, and in weak mode at most two groups have ``|c_G|^2 > 2 tol``
-    (three would lie pairwise more than 60 degrees apart as lines).
-
-    So each candidate is built once, from near-zero subsets plus at most one
-    carrier group (two in weak mode) that is not near-zero, and judged by the
-    engine's closed-form kernel on the group sums ``check_consistency`` uses.
-    The cost follows the near-zero subsets and the frameworks returned, plus
-    a table of 2**k subset sums that screens for the near-zero ones.
+    tol``, and in weak mode at most two groups A, B have ``|c_G|^2 > 2 tol``
+    (three would lie pairwise more than 60 degrees apart as lines), with
+    ``|Re(conj(c_B) c_A)| <= tol``.  So each candidate is built once, from
+    near-zero subsets plus at most one carrier group that is not near-zero,
+    in weak mode also split into such an A and B, and judged by the engine's
+    kernel on the group sums ``check_consistency`` uses.  The cost follows
+    the near-zero subsets and frameworks returned, the 2**k subset sums that
+    screen candidates, and in weak mode 2**(r-1) splits per r-path carrier.
     """
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     open_indices = model.open_indices
@@ -145,82 +145,83 @@ def enumerate_consistent_frameworks(
         raise TooLarge(f"{k} open paths exceeds the enumeration cap of {max_paths}")
     scale = model.scale
     amplitudes = [model.amplitudes[i] for i in open_indices]
-    n_carriers = 1 if mode == MODE_MEDIUM else 2
     # sums[S] for the open positions in bit mask S: the sum without the
     # highest position, plus that position's amplitude.  Added left to right,
-    # an entry is off the exact sum by less than k * 2**-52 * sum |a|, so the
-    # screen widens the near-zero radius by that much (and the bound by a
-    # factor for the kernel's own rounding).  Marking too many subsets
-    # near-zero only adds candidates; the kernel decides on correctly rounded
-    # sums.
+    # an entry is off the exact sum by less than ``slack``, so the screens
+    # widen their bounds by that much (and ``bound`` by a factor for the
+    # kernel's own rounding).  Passing too many candidates only costs kernel
+    # calls: the kernel decides on the correctly rounded sums ``exact``.
     sums = [0j]
     for amp in amplitudes:
         sums += [amp, *[s + amp for s in sums[1:]]]
-    bound = n_carriers * tolerance * (1.0 + 1e-9)
-    radius = math.sqrt(bound / scale) + k * 2.0**-52 * math.fsum(map(abs, amplitudes))
+    bound = (1 if mode == MODE_MEDIUM else 2) * tolerance * (1.0 + 1e-9) / scale
+    slack = k * 2.0**-52 * math.fsum(map(abs, amplitudes))
+    radius = math.sqrt(bound) + slack
     near = [mag <= radius for mag in map(abs, sums)]
     # A partition's restricted growth string, read as a base-k number, sorts
-    # the frameworks; a group at slot g adds g times the weights of its
-    # positions.  starts[j] lists each near-zero subset whose lowest position
-    # is j, with its weight.  exact[S] is the correctly rounded sum of subset
-    # S, for the near-zero ones and for each carrier once it is complete.
+    # the frameworks; a group at slot g adds g times its weight, the sum of
+    # its positions' weights.  starts[j] lists each near-zero subset whose
+    # lowest position is j, with its weight.
     weights = [k ** (k - 1 - j) for j in range(k)]
+    exact = functools.cache(lambda mask: _sum_amplitudes(amplitudes[j] for j in range(k) if mask >> j & 1))
+    group_of = functools.cache(lambda mask: frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1))
     starts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    exact: dict[int, complex] = {}
     for mask in itertools.compress(range(1, 1 << k), near[1:]):
-        members = [j for j in range(k) if mask >> j & 1]
-        exact[mask] = _sum_amplitudes(amplitudes[j] for j in members)
-        starts[members[0]].append((mask, sum(weights[j] for j in members)))
-
-    @functools.cache
-    def group_of(mask: int) -> frozenset[int]:
-        return frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1)
+        starts[(mask & -mask).bit_length() - 1].append((mask, sum(weights[j] for j in range(k) if mask >> j & 1)))
 
     found: list[tuple[int, Framework]] = []
-    # The groups placed so far as position masks, by lowest position; the
-    # carriers, listed in ``carriers`` as (slot, amplitudes), may still grow.
-    slots: list[int] = []
-    carriers: list[tuple[int, list[complex]]] = []
 
-    def extend(rest: int, key: int) -> None:
+    def judge(groups: list[int], key: int) -> None:
+        verdict = _decide([*map(exact, groups)], [*map(int.bit_count, groups)], k, scale, mode, tolerance)
+        if verdict[0]:
+            found.append((key, _framework(Partition(tuple(map(group_of, groups))), mode, verdict)))
+
+    # The groups placed so far as position masks, by lowest position; the
+    # carrier, at slot ``carrier`` once it is opened, may still grow.
+    slots: list[int] = []
+
+    def extend(rest: int, key: int, carrier: int | None) -> None:
         """Place the lowest of the unplaced positions ``rest``."""
         if not rest:
-            for c, amps in carriers:
-                if near[slots[c]]:
-                    return  # built elsewhere, with this carrier as a near-zero subset
-                if slots[c] not in exact:
-                    exact[slots[c]] = _sum_amplitudes(amps)
-            verdict = _decide([*map(exact.__getitem__, slots)], [*map(int.bit_count, slots)], k, scale, mode, tolerance)
-            if verdict[0]:
-                partition = Partition(tuple(map(group_of, slots)))
-                found.append((key, _framework(partition, mode, verdict)))
+            if carrier is None or not near[slots[carrier]]:
+                judge(slots, key)  # else built elsewhere, with the carrier as a near-zero subset
+            # Weak mode splits the carrier into A, which keeps its lowest
+            # position, and B, neither near-zero, whose table sums pass
+            # |Re(conj(s_B) s_A)| <= bound, widened by the slack of both sums
+            # and by 2**-50 |s_A||s_B| for rounding the product.  An empty
+            # ``whole`` has no splits.
+            whole = 0 if carrier is None or mode == MODE_MEDIUM else slots[carrier]
+            others = b = whole & (whole - 1)
+            while b:
+                a = whole ^ b
+                if not (near[a] or near[b]):
+                    m_a, m_b = abs(sums[a]), abs(sums[b])
+                    dot = sums[a].real * sums[b].real + sums[a].imag * sums[b].imag
+                    if abs(dot) <= bound + slack * (m_a + m_b + slack) + 2.0**-50 * m_a * m_b:
+                        groups = sorted([*slots[:carrier], a, b, *slots[carrier + 1 :]], key=lambda m: m & -m)
+                        judge(groups, sum(g * weights[j] for g, m in enumerate(groups) for j in range(k) if m >> j & 1))
+                b = (b - 1) & others
             return
         low = rest & -rest
-        tail = rest ^ low
         j = low.bit_length() - 1
-        for c, amps in carriers:
-            slots[c] |= low
-            amps.append(amplitudes[j])
-            extend(tail, key + c * weights[j])
-            amps.pop()
-            slots[c] ^= low
         n = len(slots)
-        if len(carriers) < n_carriers:
-            carriers.append((n, [amplitudes[j]]))
+        if carrier is None:
             slots.append(low)
-            extend(tail, key + n * weights[j])
+            extend(rest ^ low, key + n * weights[j], n)
             slots.pop()
-            carriers.pop()
+        else:
+            slots[carrier] |= low
+            extend(rest ^ low, key + carrier * weights[j], carrier)
+            slots[carrier] ^= low
         for subset, weight in starts[j]:
             if subset & rest == subset:
                 slots.append(subset)
-                extend(rest ^ subset, key + n * weight)
+                extend(rest ^ subset, key + n * weight, carrier)
                 slots.pop()
 
-    extend((1 << k) - 1, 0)
+    extend((1 << k) - 1, 0, None)
     del extend  # it refers to itself: free the tables now, not at the next cycle collection
-    found.sort(key=lambda item: item[0])
-    return [framework for _, framework in found]
+    return [framework for _, framework in sorted(found, key=lambda item: item[0])]
 
 
 def query_event(framework: Framework, event: frozenset[int] | set[int], given_detected: bool = False) -> float:

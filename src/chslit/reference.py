@@ -20,9 +20,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Partition
+from .core import Partition, _check_covers_open
 from .engine import BRANCHES, ExperimentModel, _history_label
-from .errors import BadIndex, DimensionMismatch
+from .errors import DimensionMismatch
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -132,9 +132,7 @@ def history_set_for_partition(model: ExperimentModel, partition: Partition) -> H
     with the projector onto the closed subspace, so the family stays
     exhaustive; no history uses it, and it carries no initial weight.
     """
-    open_set = frozenset(model.open_indices)
-    if partition.universe != open_set:
-        raise BadIndex("partition must cover exactly the scenario's open paths")
+    _check_covers_open(model.scenario, partition)
     group_projectors = [model.group_projector(g) for g in partition.groups]
     histories = []
     for branch in BRANCHES:
@@ -143,7 +141,7 @@ def history_set_for_partition(model: ExperimentModel, partition: Partition) -> H
             label = _history_label(model.scenario, g, branch)
             histories.append(History(chain=(p_group, p_branch), label=label))
     slit_family = list(group_projectors)
-    closed = frozenset(range(model.dimension)) - open_set
+    closed = frozenset(range(model.dimension)) - partition.universe
     if closed:
         slit_family.append(model.group_projector(closed))
     families = (

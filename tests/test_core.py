@@ -1,13 +1,16 @@
-"""Partition parsing, group amplitudes and counting rates."""
+"""Partition parsing, group amplitudes, counting rates and the package's
+public names."""
 
 from __future__ import annotations
 
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
+import chslit
 from chslit import (
     BadIndex,
     ClosedPathInGroup,
@@ -285,3 +288,34 @@ def test_partition_resolution_rejects_wrong_universe():
     scenario = make_scenario([1, 1], open_flags=[True, False])
     with pytest.raises(BadIndex):
         partition_on_paths(scenario, parse_partition("1|2", 2))
+
+
+# -- public surface ---------------------------------------------------------------
+
+#: Every public name ``chslit`` exports, the dense reference names included.
+#: A change to the public surface has to change this set.
+PUBLIC_NAMES = {
+    "AlreadyRefined", "BadIndex", "BRANCHES", "build_experiment", "build_framework", "builtin_scenario",
+    "BUILTIN_SCENARIOS", "check_consistency", "ChslitError", "class_operator_apply", "ClosedPathInGroup",
+    "combine_queries", "conditional_probability", "ConditionUnsatisfied", "ConsistencyReport",
+    "ContradictionRecord", "counting_rate", "decoherence_functional", "DEFAULT_MAX_PATHS",
+    "DEFAULT_TOLERANCE", "DegenerateDetector", "DETECTED", "DimensionMismatch", "EmptyMask",
+    "enumerate_consistent_frameworks", "enumerate_partitions", "ExperimentModel", "find_contradictions",
+    "format_partition", "format_scenario_partition", "Framework", "group_amplitude",
+    "group_decoherence_closed_form", "History", "history_probabilities", "history_set_for_partition",
+    "HistorySet", "InconsistentSet", "load_scenario", "MeaninglessCombination", "NoOpenPaths",
+    "NotExhaustive", "NotInFramework", "OverlappingGroups", "parse_partition", "parse_scenario_partition",
+    "ParseError", "Partition", "partition_on_paths", "PartSumMismatch", "Path", "query_event", "refine_slit",
+    "save_scenario", "SchemaError", "Slit", "SlitPart", "SlitScenario", "TooLarge", "UNDETECTED",
+    "UnknownScenario", "UnknownSlit",
+}
+
+
+def test_chslit_exports_exactly_the_pinned_public_names():
+    eager = {name for name, value in vars(chslit).items() if name[0] != "_" and not isinstance(value, types.ModuleType)}
+    # The dense reference names load on first use, through the module's __getattr__.
+    lazy = {"History", "HistorySet", "class_operator_apply", "decoherence_functional", "history_set_for_partition"}
+    assert PUBLIC_NAMES - eager == lazy
+    assert all(getattr(chslit, name) is not None for name in lazy)
+    assert eager <= PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 62

@@ -343,6 +343,14 @@ def test_history_set_families_sum_to_identity_and_are_orthogonal():
         hs.validate(atol=1e-10)
 
 
+def test_history_set_refuses_a_partition_that_does_not_cover_the_open_paths():
+    model = build_experiment(make_scenario([1, 1, 1], open_flags=[True, False, True]))
+    # Paths 1 and 3 are open: one misses path 3, the other adds closed path 2.
+    for partition in (parse_partition("1", 1), parse_partition("1|2,3", 3)):
+        with pytest.raises(BadIndex):
+            history_set_for_partition(model, partition)
+
+
 def test_full_gram_sums_to_one():
     rng = random.Random(59)
     for _ in range(25):

@@ -76,6 +76,18 @@ def test_a_cancelling_group_is_judged_on_its_exact_sum():
     assert check_consistency(model, parse_partition("1,3|2,4", 4), tolerance=0.0).consistent
 
 
+def test_a_weak_split_orthogonal_only_on_exact_sums_is_kept_at_zero_tolerance():
+    # Left to right, group {1,2,3} sums to 1 - (1 + 2**-52)i; exactly, to
+    # (1 + 2**-52)(1 - i), whose real product with group {4} = 1 + i is 0.
+    # The subset table screens the split, so its slack must let it through.
+    amplitudes = [1 - (1 + 2**-52) * 1j, 2**-53, 2**-53, 1 + 1j]
+    model = build_experiment(make_scenario(amplitudes))
+    split = parse_partition("1,2,3|4", 4)
+    assert check_consistency(model, split, mode="weak", tolerance=0.0).consistent
+    frameworks = enumerate_consistent_frameworks(model, mode="weak", tolerance=0.0)
+    assert split in [f.partition for f in frameworks]
+
+
 def test_listing_the_cancelling_slits_in_another_order_changes_no_bit():
     # (1e16, -1e16, 1, 3) lists the slits in the order 1, 3, 2, 4.
     order = [0, 2, 1, 3]

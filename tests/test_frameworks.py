@@ -143,7 +143,15 @@ def _family_scenario(rng: random.Random, kind: str, n: int):
     ``d, -d`` for ``zero-pair`` (the last three shuffled), and alternating
     amplitudes with relative noise of 1e-6..1e-4.5, which puts group
     probabilities near the certainty and null thresholds, for
-    ``near-alternating``."""
+    ``near-alternating``, and quarter-turn amplitudes with relative noise
+    below a level of 1e-11..1e-1, which puts the real parts of orthogonal
+    weak-mode group pairs on both sides of the tolerance, for
+    ``near-quarter-turn``."""
+    if kind == "near-quarter-turn":
+        c = random_amplitudes(rng, 1)[0]
+        level = 10 ** rng.uniform(-11, -1)
+        noise = [cmath.rect(level * rng.random(), rng.uniform(-3.2, 3.2)) for _ in range(n)]
+        return make_scenario([c * 1j**j * (1 + e) for j, e in enumerate(noise)])
     if kind == "near-alternating":
         c = random_amplitudes(rng, 1)[0]
         noise = [cmath.rect(abs(c) * 10 ** rng.uniform(-6, -4.5), rng.uniform(-3.2, 3.2)) for _ in range(n)]
@@ -184,11 +192,16 @@ def _summary(framework):
     return framework.partition, framework.mode, items, report.consistent, report.max_violation, report.tolerance_used
 
 
-@pytest.mark.parametrize("kind", ["generic", "planted", "sparse", "mixed-open", "alternating", "quarter-turn"])
+_WALK_SIZES = {"quarter-turn": (2, 4, 8), "near-quarter-turn": (2, 6, 6, 6, 6, 6, 7, 7)}
+
+
+@pytest.mark.parametrize(
+    "kind", ["generic", "planted", "sparse", "mixed-open", "alternating", "quarter-turn", "near-quarter-turn"]
+)
 def test_enumeration_equals_a_walk_over_every_partition(kind):
     # Same list, order, probabilities and reports, bit for bit.
     rng = random.Random(f"walk:{kind}")
-    for n in (1, 2, 3, 4, 5, 6, 7) if kind != "quarter-turn" else (2, 4, 8):
+    for n in _WALK_SIZES.get(kind, (1, 2, 3, 4, 5, 6, 7)):
         scenario = _family_scenario(rng, kind, n)
         model = build_experiment(scenario)
         for mode in ("medium", "weak"):
@@ -221,10 +234,13 @@ def test_generic_enumeration_makes_at_most_k_kernel_calls(monkeypatch):
         return decide(*args)
 
     monkeypatch.setattr(chslit.frameworks, "_decide", counting)
-    scenario = random_scenario(random.Random(12), n=12, kind="generic")
-    frameworks = enumerate_consistent_frameworks(build_experiment(scenario))
-    assert [f.partition for f in frameworks] == [Partition((frozenset(range(12)),))]
-    assert 1 <= len(calls) <= 12
+    model = build_experiment(random_scenario(random.Random(12), n=12, kind="generic"))
+    # Weak mode once judged every split into two groups: 2**11 = 2,048 calls.
+    for mode in ("medium", "weak"):
+        calls.clear()
+        frameworks = enumerate_consistent_frameworks(model, mode=mode)
+        assert [f.partition for f in frameworks] == [Partition((frozenset(range(12)),))]
+        assert 1 <= len(calls) <= 12, mode
 
 
 def test_coarsest_partition_always_consistent():
