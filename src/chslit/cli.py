@@ -8,6 +8,7 @@ Exit codes are stable: 0 success, 2 input error, 3 inconsistent verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -16,14 +17,13 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .core import (
-    Partition,
     SlitScenario,
     _parse_indices,
     counting_rate,
     format_scenario_partition,
     parse_scenario_partition,
 )
-from .engine import DETECTED, UNDETECTED, DEFAULT_TOLERANCE, MODE_MEDIUM, MODES, build_experiment, check_consistency
+from .engine import DEFAULT_TOLERANCE, MODE_MEDIUM, MODES, build_experiment, check_consistency
 from .errors import (
     BadIndex,
     ChslitError,
@@ -90,21 +90,13 @@ def _namers(scenario: SlitScenario) -> tuple[Callable, Callable]:
     """A framework's partition tag, and an event's 1-based open positions and
     path labels, each computed once per command from one open-position map."""
     position = {index: j + 1 for j, index in enumerate(scenario.open_indices)}
-    tags: dict[Partition, str] = {}
-    events: dict[frozenset[int], tuple[list[int], list[str]]] = {}
 
-    def tag(partition: Partition) -> str:
-        if partition not in tags:
-            tags[partition] = format_scenario_partition(scenario, partition)
-        return tags[partition]
-
+    @functools.cache
     def describe(event: frozenset[int]) -> tuple[list[int], list[str]]:
-        if event not in events:
-            ordered = sorted(event)
-            events[event] = ([position[i] for i in ordered], [scenario.path_label(i) for i in ordered])
-        return events[event]
+        ordered = sorted(event)
+        return [position[i] for i in ordered], [scenario.path_label(i) for i in ordered]
 
-    return tag, describe
+    return functools.cache(functools.partial(format_scenario_partition, scenario)), describe
 
 
 def _tolerance(text: str) -> float:
@@ -128,7 +120,7 @@ def _path_cap(text: str) -> int:
 
 
 def _max_paths(args: argparse.Namespace) -> int:
-    if getattr(args, "max_n", None) is not None:
+    if args.max_n is not None:
         return args.max_n
     raw = os.environ.get(MAX_PATHS_ENV)
     if raw is None:
@@ -165,15 +157,9 @@ def _cmd_frameworks(args: argparse.Namespace, scenario: SlitScenario) -> tuple[i
     rows = []
     for framework in frameworks:
         probabilities = []
-        for branch in (DETECTED, UNDETECTED):
-            for group in framework.partition.groups:
-                positions, labels = describe(group)
-                probabilities.append({
-                    "group": positions,
-                    "labels": labels,
-                    "branch": branch,
-                    "probability": framework.probabilities[(group, branch)],
-                })
+        for (group, branch), probability in framework.probabilities.items():
+            positions, labels = describe(group)
+            probabilities.append({"group": positions, "labels": labels, "branch": branch, "probability": probability})
         rows.append({
             "partition": tag(framework.partition),
             "detected_probability": framework.detected_total(),

@@ -148,17 +148,17 @@ class Partition:
     groups: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        groups = tuple(sorted((frozenset(g) for g in self.groups), key=min))
-        for g in groups:
-            if not g:
-                raise ValueError("partition groups must be non-empty")
+        groups = [*map(frozenset, self.groups)]
+        if not all(groups):
+            raise ValueError("partition groups must be non-empty")
+        groups.sort(key=min)
         seen: set[int] = set()
         for g in groups:
             overlap = seen & g
             if overlap:
                 raise OverlappingGroups(f"path {min(overlap) + 1} appears in two groups")
             seen |= g
-        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "groups", tuple(groups))
 
     @property
     def universe(self) -> frozenset[int]:

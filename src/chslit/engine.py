@@ -19,6 +19,7 @@ and every verdict and probability in the package comes from it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -175,41 +176,23 @@ def _decide(
     the worst entry (None for a single group).
     """
     n = len(sums)
-    max_diag = 0.0
-    top = second = -1.0
-    g1 = g2 = 0
-    for g in range(n):
-        mag = abs(sums[g])
-        detected = mag * mag * scale
-        undetected = counts[g] / k - detected
-        if detected > max_diag:
-            max_diag = detected
-        if undetected > max_diag:
-            max_diag = undetected
-        if mag > top:
-            second, g2, top, g1 = top, g1, mag, g
-        elif mag > second:
-            second, g2 = mag, g
-    pair = None
-    violation = 0.0
+    moduli = [*map(abs, sums)]
+    detected = [m * m * scale for m in moduli]
+    diagonal = detected + [c / k - d for c, d in zip(counts, detected)]
+    tolerance_used = tolerance * max(diagonal)
+    pair, violation = None, 0.0
     if n > 1 and mode == MODE_MEDIUM:
-        # The largest |c_g| * |c_h| pairs the two largest moduli.
-        pair = (g1, g2) if g1 < g2 else (g2, g1)
-        violation = top * second * scale
+        # The largest |c_g| * |c_h| pairs the two largest moduli; the stable
+        # sort keeps the first of equal moduli.
+        g, h = sorted(range(n), key=moduli.__getitem__, reverse=True)[:2]
+        pair, violation = (g, h) if g < h else (h, g), moduli[g] * moduli[h] * scale
     elif n > 1:
-        largest = -1.0
-        for g in range(n):
-            s = sums[g]
-            for h in range(g + 1, n):
-                real = abs((sums[h].conjugate() * s).real)
-                if real > largest:
-                    largest, pair = real, (g, h)
-        violation = largest * scale
-    tolerance_used = tolerance * max_diag
+        # max keeps the first of equal pairs, in the order of combinations.
+        real = lambda gh: abs((sums[gh[1]].conjugate() * sums[gh[0]]).real)
+        pair = max(itertools.combinations(range(n), 2), key=real)
+        violation = real(pair) * scale
     if violation > tolerance_used:
         return False, None, violation, pair, tolerance_used
-    detected = [m * m * scale for m in map(abs, sums)]
-    diagonal = detected + [counts[g] / k - detected[g] for g in range(n)]
     return True, diagonal, violation, pair, tolerance_used
 
 

@@ -232,8 +232,7 @@ def query_event(framework: Framework, event: frozenset[int] | set[int], given_de
     """
     event = frozenset(event)
     covered = [g for g in framework.partition.groups if g <= event]
-    union = frozenset().union(*covered) if covered else frozenset()
-    if union != event:
+    if frozenset().union(*covered) != event:
         raise NotInFramework(
             "event is not a union of this framework's groups; probabilities are "
             "only defined within a single consistent framework"
@@ -322,31 +321,29 @@ def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Eve
     unions' group tuples: by size, then lexicographically.
 
     Certain events are the groups in ``core`` plus any others, null events
-    any groups inside ``span``.  Adding the same groups to every tuple keeps
-    their order, so both lists are in that order.
+    any non-empty union of groups inside ``span``.  Adding the same groups to
+    every tuple keeps their order, so both lists are in that order.
     """
     core, span, detected, total, masks = summary
+
+    def unions(fixed: list[int], pool: list[int], keep: Callable[[float], bool]) -> _Events:
+        # The empty union is never certain, and no null event.
+        found: _Events = []
+        for r in range(not fixed, len(pool) + 1):
+            for extra in itertools.combinations(pool, r):
+                combo = (*fixed, *extra)
+                # Sum first, divide once: the same arithmetic as query_event,
+                # so stored probabilities re-verify exactly.
+                p = math.fsum(detected[g] for g in combo) / total
+                if keep(p):
+                    found.append((mask := sum(masks[g] for g in combo), event(mask), p))
+        return found
+
     fixed = [g for g, m in enumerate(masks) if m & core]
     free = [g for g, m in enumerate(masks) if not m & core]
-    certain: _Events = []
-    for r in range(len(free) + 1):
-        for extra in itertools.combinations(free, r):
-            combo = (*fixed, *extra)
-            # Sum first, divide once: the same arithmetic as query_event, so
-            # stored probabilities re-verify exactly.
-            p = math.fsum(detected[g] for g in combo) / total
-            if p >= CERTAINTY_THRESHOLD:
-                mask = sum(masks[g] for g in combo)
-                certain.append((mask, event(mask), p))
     inside = [g for g, m in enumerate(masks) if m & span]
-    null: _Events = []
-    for r in range(1, len(inside) + 1):
-        for combo in itertools.combinations(inside, r):
-            p = math.fsum(detected[g] for g in combo) / total
-            if p <= NULL_THRESHOLD:
-                mask = sum(masks[g] for g in combo)
-                null.append((mask, event(mask), p))
-    return certain, null
+    # Certain events have p >= CERTAINTY_THRESHOLD, null events p <= NULL_THRESHOLD.
+    return unions(fixed, free, CERTAINTY_THRESHOLD.__le__), unions([], inside, NULL_THRESHOLD.__ge__)
 
 
 def _clash_kinds(key_a: tuple[int, int], key_b: tuple[int, int]) -> tuple[bool, bool, bool]:

@@ -72,7 +72,7 @@ def test_partition_groups_are_canonically_ordered():
 
 
 def test_partition_rejects_empty_group():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         Partition((frozenset(), frozenset({0})))
 
 

@@ -303,6 +303,24 @@ def test_finest_partition_fails_weak_mode():
     assert report.max_violation == pytest.approx(1 / 9, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "amplitudes, mode, pair",
+    [
+        ((1, 2, 2), "medium", ("S2", "S3")),
+        ((2, 1, 2), "medium", ("S1", "S3")),
+        ((2, 2, 2), "medium", ("S1", "S2")),
+        ((2, 2, 2), "weak", ("S1", "S2")),
+        ((1, 2, -2), "weak", ("S2", "S3")),
+    ],
+)
+def test_the_first_of_equal_worst_pairs_is_reported(amplitudes, mode, pair):
+    # With equal moduli, the report names the first group pair, in the order
+    # of combinations over the groups, that reaches the largest violation.
+    report = check_consistency(build_experiment(make_scenario(amplitudes)), FINEST, mode=mode)
+    assert not report.consistent
+    assert report.offending_pair == tuple(f"{{{label}}} then detected" for label in pair)
+
+
 def test_medium_consistency_implies_weak():
     rng = random.Random(77)
     for _ in range(40):
