@@ -13,8 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Partition, _sum_amplitudes
 from .engine import (
@@ -50,13 +49,16 @@ CERTAINTY_THRESHOLD = 1.0 - 1e-10
 NULL_THRESHOLD = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class ContradictionRecord:
+class ContradictionRecord(NamedTuple):
     """Two frameworks whose certainties cannot be combined.
 
     ``disjoint-certainty``: both events are certain given detection, yet
     they are disjoint.  ``implication-violation``: the first event is
     certain, sits inside the second, and the second is null.
+
+    A record is an immutable tuple with no per-instance dict, so a search
+    emitting tens of thousands pays a tuple's cost for each.  Like an
+    object, it compares equal only to itself and hashes by identity.
     """
 
     kind: str
@@ -66,6 +68,10 @@ class ContradictionRecord:
     event_b: frozenset[int]
     p_a: float
     p_b: float
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_PATHS) -> Iterator[Partition]:
@@ -318,7 +324,9 @@ def _clash_summary(framework: Framework, mask_of: Callable[[frozenset[int]], int
 def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Events, _Events]:
     """The certain and the null group-union events of a summarised framework,
     as ``(path mask, event(path mask), probability)`` in the order of the
-    unions' group tuples: by size, then lexicographically.
+    unions' group tuples: by size, then lexicographically.  A null event
+    carries the complement of its path mask instead, so that a certain event
+    lies inside it exactly when their masks are disjoint.
 
     Certain events are the groups in ``core`` plus any others, null events
     any non-empty union of groups inside ``span``.  Adding the same groups to
@@ -343,7 +351,8 @@ def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Eve
     free = [g for g, m in enumerate(masks) if not m & core]
     inside = [g for g, m in enumerate(masks) if m & span]
     # Certain events have p >= CERTAINTY_THRESHOLD, null events p <= NULL_THRESHOLD.
-    return unions(fixed, free, CERTAINTY_THRESHOLD.__le__), unions([], inside, NULL_THRESHOLD.__ge__)
+    null = [(~mask, e, p) for mask, e, p in unions([], inside, NULL_THRESHOLD.__ge__)]
+    return unions(fixed, free, CERTAINTY_THRESHOLD.__le__), null
 
 
 def _clash_kinds(key_a: tuple[int, int], key_b: tuple[int, int]) -> tuple[bool, bool, bool]:
@@ -355,25 +364,15 @@ def _clash_kinds(key_a: tuple[int, int], key_b: tuple[int, int]) -> tuple[bool, 
     return not core_a & core_b, not core_a & ~span_b, not core_b & ~span_a
 
 
-def _disjoint_certainties(
-    fa: Framework, fb: Framework, certain_a: _Events, certain_b: _Events
-) -> list[ContradictionRecord]:
-    """A record for each certain event of ``fa`` disjoint from one of ``fb``."""
+def _clashes(kind: str, fa: Framework, fb: Framework, certain: _Events, other: _Events) -> list[ContradictionRecord]:
+    """A record for each certain event of ``fa`` whose mask is disjoint from
+    that of an ``other`` event of ``fb``: two disjoint certainties, or a
+    certain event inside a null event, whose mask is its complement."""
     return [
-        ContradictionRecord("disjoint-certainty", fa, fb, ea, eb, pa, pb)
-        for ma, ea, pa in certain_a
-        for mb, eb, pb in certain_b
+        ContradictionRecord(kind, fa, fb, ea, eb, pa, pb)
+        for ma, ea, pa in certain
+        for mb, eb, pb in other
         if not ma & mb
-    ]
-
-
-def _implications(fa: Framework, fb: Framework, certain_a: _Events, null_b: _Events) -> list[ContradictionRecord]:
-    """A record for each certain event of ``fa`` inside a null event of ``fb``."""
-    return [
-        ContradictionRecord("implication-violation", fa, fb, ea, eb, pa, pb)
-        for ma, ea, pa in certain_a
-        for mb, eb, pb in null_b
-        if not ma & ~mb
     ]
 
 
@@ -428,9 +427,9 @@ def find_contradictions(
         (fa, _), (fb, _) = judged[i], judged[j]
         (certain_a, null_a), (certain_b, null_b) = events(i), events(j)
         if disjoint:
-            records += _disjoint_certainties(fa, fb, certain_a, certain_b)
+            records += _clashes("disjoint-certainty", fa, fb, certain_a, certain_b)
         if a_in_b:
-            records += _implications(fa, fb, certain_a, null_b)
+            records += _clashes("implication-violation", fa, fb, certain_a, null_b)
         if b_in_a:
-            records += _implications(fb, fa, certain_b, null_a)
+            records += _clashes("implication-violation", fb, fa, certain_b, null_a)
     return records

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import chslit.frameworks
 from chslit import (
     ConditionUnsatisfied,
+    ContradictionRecord,
     InconsistentSet,
     MeaninglessCombination,
     NotInFramework,
@@ -417,6 +418,27 @@ def _record_signature(record):
     )
 
 
+def test_contradiction_record_is_an_immutable_tuple_compared_by_identity():
+    fields = ("kind", "framework_a", "framework_b", "event_a", "event_b", "p_a", "p_b")
+    assert ContradictionRecord._fields == fields
+    values = ("disjoint-certainty", None, None, frozenset({2}), frozenset({0}), 1.0, 1.0)
+    record = ContradictionRecord(*values)
+    assert tuple(record) == values
+    by_keyword = ContradictionRecord(**dict(zip(fields, values)))
+    assert [getattr(by_keyword, name) for name in fields] == list(values)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    # Equal fields do not make equal records: a record is itself alone.
+    assert record == record and not record != record
+    assert record != by_keyword and not record == by_keyword
+    assert len({record, by_keyword, record}) == 2 and hash(record) == object.__hash__(record)
+    # No per-instance dict: the record costs what its tuple costs.
+    assert not hasattr(record, "__dict__")
+
+
 def test_three_slit_contradictions():
     model = build_experiment(THREE_SLIT)
     records = find_contradictions(model)
@@ -510,6 +532,17 @@ def test_contradictions_equal_the_all_pairs_search_when_a_group_is_neither_certa
             got = [_record_fields(r) for r in find_contradictions(model, mode=mode, tolerance=tolerance)]
             assert got
             assert got == [_record_fields(r) for r in brute_contradictions(model, mode, tolerance)]
+
+
+@pytest.mark.parametrize("kind", ["alternating", "zero-pair", "quarter-turn"])
+def test_contradictions_equal_the_all_pairs_search_on_seven_paths(kind):
+    # The size the contradictions benchmark runs: thousands of records per
+    # scenario.  Same records in the same order, probabilities bit for bit.
+    model = build_experiment(_family_scenario(random.Random(f"clash-7:{kind}"), kind, 7))
+    for mode in ("medium", "weak"):
+        got = [(*_record_fields(r)[:5], r.p_a.hex(), r.p_b.hex()) for r in find_contradictions(model, mode=mode)]
+        want = [(*_record_fields(r)[:5], r.p_a.hex(), r.p_b.hex()) for r in brute_contradictions(model, mode)]
+        assert got and got == want, (kind, mode)
 
 
 def test_single_nonzero_contradiction_search_visits_no_framework_pair(monkeypatch):
