@@ -171,9 +171,6 @@ class Partition:
         """True when every group here sits inside a single group of ``other``."""
         return all(any(g <= h for h in other.groups) for g in self.groups)
 
-    def __str__(self) -> str:
-        return format_partition(self)
-
 
 def _parse_indices(text: str, count: int) -> list[int]:
     """Comma-separated 1-based numbers in 1..count, as 0-based indices."""
@@ -199,7 +196,7 @@ def parse_partition(text: str, n_paths: int) -> Partition:
     internally indices are 0-based.
     """
     if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     partition = Partition(tuple(frozenset(_parse_indices(g, n_paths)) for g in text.split("|")))
     missing = set(range(n_paths)) - partition.universe
     if missing:

@@ -52,56 +52,30 @@ def _reference():
 
 @dataclass(frozen=True, eq=False)
 class ExperimentModel:
-    """Immutable realization of a scenario.
+    """Immutable realization of a scenario: what the closed form reads.
 
     ``amplitudes`` are the path amplitudes times the power of two that puts
     the largest component in [1, 2): exact, so cancelling sums still cancel,
     and no square overflows or underflows anywhere in the double range.
     With ``scale = 1 / (k * sum |amplitudes|^2)``, a group whose amplitudes
-    sum to ``s`` has ``|c_G|^2 = |s|^2 * scale``.  The dense members are
-    built by ``chslit.reference`` on first use.
+    sum to ``s`` has ``|c_G|^2 = |s|^2 * scale``.  The dense members ``psi``,
+    ``group_projector`` and ``branch_projector`` delegate to
+    ``chslit.reference``, the one home of every dense object.
     """
 
     scenario: SlitScenario
     amplitudes: tuple[complex, ...]
     scale: float
 
-    @property
-    def dimension(self) -> int:
-        return self.scenario.n_paths
-
-    @property
-    def open_indices(self) -> tuple[int, ...]:
-        return self.scenario.open_indices
-
     @cached_property
     def psi(self):
         return _reference().initial_state(self)
-
-    @cached_property
-    def detector(self):
-        return _reference().detector_direction(self)
-
-    @cached_property
-    def projector_detected(self):
-        return _reference().detection_projector(self)
-
-    @cached_property
-    def projector_undetected(self):
-        return _reference().non_detection_projector(self)
-
-    def path_projector(self, index: int):
-        return self.group_projector((self.scenario.check_index(index),))
 
     def group_projector(self, group: Iterable[int]):
         return _reference().group_projector(self, group)
 
     def branch_projector(self, branch: str):
-        if branch == DETECTED:
-            return self.projector_detected
-        if branch == UNDETECTED:
-            return self.projector_undetected
-        raise ValueError(f"unknown branch {branch!r}")
+        return _reference().branch_projector(self, branch)
 
 
 def build_experiment(scenario: SlitScenario) -> ExperimentModel:

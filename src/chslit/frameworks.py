@@ -145,7 +145,7 @@ def enumerate_consistent_frameworks(
     screen candidates, and in weak mode 2**(r-1) splits per r-path carrier.
     """
     tolerance = _check_mode_and_tolerance(mode, tolerance)
-    open_indices = model.open_indices
+    open_indices = model.scenario.open_indices
     k = len(open_indices)
     if k > max_paths:
         raise TooLarge(f"{k} open paths exceeds the enumeration cap of {max_paths}")

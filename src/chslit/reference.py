@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import Partition, _check_covers_open
-from .engine import BRANCHES, ExperimentModel, _history_label
+from .engine import BRANCHES, DETECTED, ExperimentModel, _history_label
 from .errors import DimensionMismatch
 
 
@@ -67,8 +67,9 @@ class HistorySet:
 
 def initial_state(model: ExperimentModel) -> np.ndarray:
     """1/sqrt(k) on each of the k open paths."""
-    psi = np.zeros(model.dimension, dtype=complex)
-    psi[list(model.open_indices)] = 1.0 / np.sqrt(len(model.open_indices))
+    scenario = model.scenario
+    psi = np.zeros(scenario.n_paths, dtype=complex)
+    psi[list(scenario.open_indices)] = 1.0 / np.sqrt(scenario.n_open)
     return _frozen(psi)
 
 
@@ -78,16 +79,20 @@ def detector_direction(model: ExperimentModel) -> np.ndarray:
     return _frozen(amps.conj() / np.linalg.norm(amps))
 
 
-def detection_projector(model: ExperimentModel) -> np.ndarray:
-    return _frozen(np.outer(model.detector, model.detector.conj()))
-
-
-def non_detection_projector(model: ExperimentModel) -> np.ndarray:
-    return _frozen(np.eye(model.dimension, dtype=complex) - model.projector_detected)
+def branch_projector(model: ExperimentModel, branch: str) -> np.ndarray:
+    """The projector onto the detector direction (detected) or onto its
+    orthogonal complement (undetected)."""
+    if branch not in BRANCHES:
+        raise ValueError(f"unknown branch {branch!r}")
+    detector = detector_direction(model)
+    detected = np.outer(detector, detector.conj())
+    undetected = np.eye(len(detector), dtype=complex) - detected
+    return _frozen(detected if branch == DETECTED else undetected)
 
 
 def group_projector(model: ExperimentModel, group: Iterable[int]) -> np.ndarray:
-    p = np.zeros((model.dimension, model.dimension), dtype=complex)
+    n = model.scenario.n_paths
+    p = np.zeros((n, n), dtype=complex)
     for index in group:
         model.scenario.check_index(index)
         p[index, index] = 1.0
@@ -133,19 +138,15 @@ def history_set_for_partition(model: ExperimentModel, partition: Partition) -> H
     exhaustive; no history uses it, and it carries no initial weight.
     """
     _check_covers_open(model.scenario, partition)
-    group_projectors = [model.group_projector(g) for g in partition.groups]
+    group_projectors = [group_projector(model, g) for g in partition.groups]
+    branch_projectors = tuple(branch_projector(model, branch) for branch in BRANCHES)
     histories = []
-    for branch in BRANCHES:
-        p_branch = model.branch_projector(branch)
+    for branch, p_branch in zip(BRANCHES, branch_projectors):
         for g, p_group in zip(partition.groups, group_projectors):
             label = _history_label(model.scenario, g, branch)
             histories.append(History(chain=(p_group, p_branch), label=label))
     slit_family = list(group_projectors)
-    closed = frozenset(range(model.dimension)) - partition.universe
+    closed = frozenset(range(model.scenario.n_paths)) - partition.universe
     if closed:
-        slit_family.append(model.group_projector(closed))
-    families = (
-        tuple(slit_family),
-        (model.projector_detected, model.projector_undetected),
-    )
-    return HistorySet(histories=tuple(histories), step_families=families)
+        slit_family.append(group_projector(model, closed))
+    return HistorySet(histories=tuple(histories), step_families=(tuple(slit_family), branch_projectors))

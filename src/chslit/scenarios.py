@@ -81,7 +81,10 @@ def load_scenario(data: str | bytes) -> SlitScenario:
         raise ParseError("scenario document is nested too deeply") from None
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _require("version" in doc, "version", "missing field")
-    _require(doc["version"] == SCHEMA_VERSION, "version", f"expected {SCHEMA_VERSION}, got {doc['version']!r}")
+    version = doc["version"]
+    # JSON true loads as True, and True == 1: refuse a bool, as _number does.
+    valid = version == SCHEMA_VERSION and not isinstance(version, bool)
+    _require(valid, "version", f"expected {SCHEMA_VERSION}, got {version!r}")
     name = _text(doc.get("name"), "name")
     _require(isinstance(doc.get("slits"), list), "slits", "expected a list")
     _require(len(doc["slits"]) > 0, "slits", "must not be empty")
@@ -196,7 +199,7 @@ def refine_slit(
     """
     subs = tuple(SlitPart(label, amplitude) for label, amplitude in sub_amplitudes)
     if not subs:
-        raise ValueError("refinement needs at least one sub-part")
+        raise ValueError(f"refinement of slit {slit_label!r} needs at least one sub-part")
     replaced = False
     slits: list[Slit] = []
     for slit in scenario.slits:

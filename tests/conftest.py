@@ -74,7 +74,7 @@ def brute_consistent_partitions(
 ) -> list[Partition]:
     """Filter every partition of the open paths through the full matrix."""
     survivors = []
-    for blocks in brute_partitions(model.open_indices):
+    for blocks in brute_partitions(model.scenario.open_indices):
         gram = partition_gram(model, blocks)
         m = len(gram)
         max_diag = max(gram[i][i].real for i in range(m))

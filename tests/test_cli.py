@@ -404,6 +404,17 @@ def test_file_source(capsys, tmp_path):
     assert "consistent: yes" in out
 
 
+def test_boolean_version_is_one_line_exit_2(capsys, tmp_path):
+    doc = json.loads(save_scenario(builtin_scenario("three-slit-contradiction")))
+    doc["version"] = True
+    path = tmp_path / "bool-version.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "frameworks", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["chslit: error: version: expected 1, got True"]
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "check", "--file", "/no/such/file.json", "--partition", "1|2")
     assert code == 2

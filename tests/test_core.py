@@ -61,6 +61,11 @@ def test_parse_bad_indices(text):
         parse_partition(text, 3)
 
 
+def test_parse_needs_at_least_one_path():
+    with pytest.raises(ValueError, match="got 0"):
+        parse_partition("1", 0)
+
+
 def test_parse_tolerates_whitespace():
     assert parse_partition(" 3 | 1 , 2 ", 3) == parse_partition("1,2|3", 3)
 

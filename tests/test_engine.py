@@ -21,6 +21,7 @@ from chslit import (
     DETECTED,
     DimensionMismatch,
     History,
+    HistorySet,
     InconsistentSet,
     NoOpenPaths,
     NotInFramework,
@@ -36,6 +37,7 @@ from chslit import (
     history_set_for_partition,
     parse_partition,
 )
+from chslit.reference import detector_direction
 from conftest import make_scenario, random_partition, random_scenario
 from chslit import enumerate_consistent_frameworks, find_contradictions, format_partition
 from conftest import partition_gram
@@ -80,14 +82,14 @@ def model_history(model, group, branch):
 def test_build_three_slit_model_by_hand():
     model = build_experiment(THREE_SLIT)
     np.testing.assert_allclose(model.psi, np.full(3, 1 / np.sqrt(3)), atol=1e-15)
-    np.testing.assert_allclose(model.detector, np.array([1, -1, 1]) / np.sqrt(3), atol=1e-15)
+    np.testing.assert_allclose(detector_direction(model), np.array([1, -1, 1]) / np.sqrt(3), atol=1e-15)
 
 
 def test_build_single_open_path_aligns_detector():
     scenario = make_scenario([1, 0, 0], open_flags=[True, False, False])
     model = build_experiment(scenario)
     np.testing.assert_array_equal(model.psi, np.array([1, 0, 0], dtype=complex))
-    np.testing.assert_array_equal(model.detector, np.array([1, 0, 0], dtype=complex))
+    np.testing.assert_array_equal(detector_direction(model), np.array([1, 0, 0], dtype=complex))
 
 
 def test_build_degenerate_detector():
@@ -107,7 +109,7 @@ def test_model_invariants():
         if not scenario.open_indices or all(a == 0 for a in scenario.amplitudes):
             continue
         model = build_experiment(scenario)
-        n = model.dimension
+        n = scenario.n_paths
         amps = np.array(scenario.amplitudes)
         norm = np.linalg.norm(amps)
         assert abs(np.linalg.norm(model.psi) - 1.0) < 1e-12
@@ -115,12 +117,11 @@ def test_model_invariants():
         for i in range(n):
             e_i = np.zeros(n, dtype=complex)
             e_i[i] = 1.0
-            assert abs(np.vdot(model.detector, e_i) - amps[i] / norm) < 1e-12
+            assert abs(np.vdot(detector_direction(model), e_i) - amps[i] / norm) < 1e-12
         # The detection pair sums to the identity exactly and projects.
-        np.testing.assert_array_equal(
-            model.projector_detected + model.projector_undetected, np.eye(n, dtype=complex)
-        )
-        for p in (model.projector_detected, model.projector_undetected):
+        detected, undetected = model.branch_projector(DETECTED), model.branch_projector(UNDETECTED)
+        np.testing.assert_array_equal(detected + undetected, np.eye(n, dtype=complex))
+        for p in (detected, undetected):
             assert np.max(np.abs(p @ p - p)) < 1e-10
             assert np.max(np.abs(p - p.conj().T)) < 1e-12
 
@@ -139,7 +140,7 @@ def test_class_operator_slit_then_detection_by_hand():
     model = build_experiment(THREE_SLIT)
     h = model_history(model, frozenset({2}), DETECTED)
     out = class_operator_apply(model, h, model.psi)
-    np.testing.assert_allclose(out, model.detector / 3.0, atol=1e-15)
+    np.testing.assert_allclose(out, detector_direction(model) / 3.0, atol=1e-15)
 
 
 def test_class_operator_empty_chain_is_identity():
@@ -150,7 +151,7 @@ def test_class_operator_empty_chain_is_identity():
 
 def test_class_operator_projector_idempotence():
     model = build_experiment(THREE_SLIT)
-    p1 = model.path_projector(0)
+    p1 = model.group_projector((0,))
     rng = np.random.default_rng(3)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     once = class_operator_apply(model, History(chain=(p1,)), v)
@@ -161,8 +162,8 @@ def test_class_operator_projector_idempotence():
 def test_class_operator_supports_longer_chains():
     model = build_experiment(THREE_SLIT)
     p12 = model.group_projector(frozenset({0, 1}))
-    three_step = History(chain=(p12, p12, model.projector_detected))
-    two_step = History(chain=(p12, model.projector_detected))
+    three_step = History(chain=(p12, p12, model.branch_projector(DETECTED)))
+    two_step = History(chain=(p12, model.branch_projector(DETECTED)))
     np.testing.assert_allclose(
         class_operator_apply(model, three_step, model.psi),
         class_operator_apply(model, two_step, model.psi),
@@ -175,6 +176,19 @@ def test_class_operator_dimension_mismatch():
     bad = History(chain=(np.eye(2, dtype=complex),))
     with pytest.raises(DimensionMismatch):
         class_operator_apply(model, bad, model.psi)
+
+
+def test_class_operator_rejects_a_non_square_projector():
+    model = build_experiment(THREE_SLIT)
+    bad = History(chain=(np.ones((3, 2), dtype=complex),))
+    with pytest.raises(DimensionMismatch, match=r"\(3, 2\) is not square"):
+        class_operator_apply(model, bad, model.psi)
+
+
+def test_branch_projector_rejects_an_unknown_branch():
+    model = build_experiment(THREE_SLIT)
+    with pytest.raises(ValueError, match="'sideways'"):
+        model.branch_projector("sideways")
 
 
 def test_decoherence_rejects_chain_length_mismatch():
@@ -367,6 +381,20 @@ def test_history_set_refuses_a_partition_that_does_not_cover_the_open_paths():
     for partition in (parse_partition("1", 1), parse_partition("1|2,3", 3)):
         with pytest.raises(BadIndex):
             history_set_for_partition(model, partition)
+
+
+def test_history_set_validate_names_the_failing_family():
+    model = build_experiment(THREE_SLIT)
+    p1, p2, p12, p23 = (model.group_projector(g) for g in ({0}, {1}, {0, 1}, {1, 2}))
+    detection = tuple(model.branch_projector(branch) for branch in (DETECTED, UNDETECTED))
+    # {1} and {1,2} miss path 3 and add path 1 twice; {1} and {2,3} are fine.
+    short = HistorySet(histories=(), step_families=((p1, p23), (p1, p12)))
+    with pytest.raises(ValueError, match="step 1 does not sum to identity"):
+        short.validate()
+    # {1,2}, {2,3} and minus {2} sum to the identity, but {1,2} and {2,3} overlap.
+    overlapping = HistorySet(histories=(), step_families=(detection, (p12, p23, -p2)))
+    with pytest.raises(ValueError, match="projectors 0 and 1 at step 1 are not orthogonal"):
+        overlapping.validate()
 
 
 def test_full_gram_sums_to_one():

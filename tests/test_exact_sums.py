@@ -225,3 +225,22 @@ def test_negative_zero_tolerance_is_reported_as_zero():
     ]
     assert len(used) > 2
     assert all(value == 0.0 and math.copysign(1.0, value) == 1.0 for value in used)
+
+
+# -- amplitudes far below the largest ------------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="build_experiment shifts every amplitude by the largest component's exponent, "
+    "so 1e-300 next to 1e308 underflows to exactly 0",
+)
+def test_amplitudes_far_below_the_largest_still_break_consistency():
+    # Exactly, group {3} sums to -1e-300 and {1,2} to 1e308 + 1e-300, so their
+    # product is nonzero; only {2,3} cancels, leaving 1,2,3 and 1|2,3.
+    scenario = make_scenario([1e308, 1e-300, -1e-300])
+    model = build_experiment(scenario)
+    for mode in MODES:
+        assert not check_consistency(model, parse_partition("1,2|3", 3), mode=mode, tolerance=0.0).consistent
+        frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=0.0)
+        assert [format_partition(f.partition) for f in frameworks] == ["1,2,3", "1|2,3"]

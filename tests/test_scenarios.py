@@ -138,6 +138,16 @@ def test_load_schema_errors_carry_field_paths(mutate, field_path):
     assert excinfo.value.field_path == field_path
 
 
+def test_load_rejects_a_boolean_version():
+    # JSON true loads as Python True, and True == 1.
+    doc = json.loads(THREE_SLIT_DOC)
+    doc["version"] = True
+    with pytest.raises(SchemaError) as excinfo:
+        load_scenario(json.dumps(doc))
+    assert excinfo.value.field_path == "version"
+    assert "got True" in str(excinfo.value)
+
+
 def test_load_rejects_non_finite_numbers():
     # json.loads happily accepts NaN/Infinity literals; the schema must not.
     text = THREE_SLIT_DOC.replace('"re": 1.0, "im": 0.0}, "open": true},', '"re": NaN, "im": 0.0}, "open": true},', 1)
@@ -229,6 +239,11 @@ def test_refine_part_sum_mismatch():
     scenario = builtin_scenario("three-slit-contradiction")
     with pytest.raises(PartSumMismatch):
         refine_slit(scenario, "S1", [("a", 1 + 0j), ("b", 1 + 0j)])
+
+
+def test_refine_without_parts_names_the_slit():
+    with pytest.raises(ValueError, match="slit 'S1' needs at least one sub-part"):
+        refine_slit(builtin_scenario("three-slit-contradiction"), "S1", [])
 
 
 def test_refine_unknown_slit():
