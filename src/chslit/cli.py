@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .core import (
     SlitScenario,
@@ -73,7 +73,7 @@ def _load_source(args: argparse.Namespace) -> SlitScenario:
     return load_scenario(Path(args.file).read_bytes())
 
 
-def _parsed(flag: str, parse: Callable[..., Any], *args: Any) -> Any:
+def _parsed(flag: str, parse: Callable[..., object], *args: object) -> object:
     """``parse(*args)``, naming the offending flag in any parse error."""
     try:
         return parse(*args)
@@ -134,7 +134,7 @@ def _max_paths(args: argparse.Namespace) -> int:
 # -- command handlers: each returns its exit code and its JSON payload --------
 
 
-def _cmd_check(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
+def _cmd_check(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, object]]:
     model = build_experiment(scenario)
     partition = _parsed("--partition", parse_scenario_partition, scenario, args.partition)
     report = check_consistency(model, partition, mode=args.mode, tolerance=args.tol)
@@ -148,7 +148,7 @@ def _cmd_check(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
     return (EXIT_OK if report.consistent else EXIT_INCONSISTENT), payload
 
 
-def _cmd_frameworks(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
+def _cmd_frameworks(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, object]]:
     model = build_experiment(scenario)
     frameworks = enumerate_consistent_frameworks(
         model, mode=args.mode, tolerance=args.tol, max_paths=_max_paths(args)
@@ -168,13 +168,13 @@ def _cmd_frameworks(args: argparse.Namespace, scenario: SlitScenario) -> tuple[i
     return EXIT_OK, {"count": len(frameworks), "frameworks": rows}
 
 
-def _cmd_query(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
+def _cmd_query(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, object]]:
     model = build_experiment(scenario)
     tag, describe = _namers(scenario)
 
     # ``given`` places the first answer's given_detected flag before its
     # probability, the JSON key order of that answer.
-    def answer(framework: Framework, event: frozenset[int], **given: bool) -> dict[str, Any]:
+    def answer(framework: Framework, event: frozenset[int], **given: bool) -> dict[str, object]:
         probability = query_event(framework, event, given_detected=args.given_detected)
         positions, labels = describe(event)
         return {"framework": tag(framework.partition), "event": positions, "labels": labels,
@@ -197,7 +197,7 @@ def _cmd_query(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
     return EXIT_OK, payload
 
 
-def _cmd_contradictions(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
+def _cmd_contradictions(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, object]]:
     model = build_experiment(scenario)
     records = find_contradictions(model, mode=args.mode, tolerance=args.tol, max_paths=_max_paths(args))
     tag, describe = _namers(scenario)
@@ -219,10 +219,10 @@ def _cmd_contradictions(args: argparse.Namespace, scenario: SlitScenario) -> tup
     return EXIT_OK, {"count": len(records), "records": rows}
 
 
-def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, Any]]:
+def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, object]]:
     if args.mask is None and not args.all_single:
         raise ValueError("rates needs --mask and/or --all-single")
-    payload: dict[str, Any] = {}
+    payload: dict[str, object] = {}
     if args.mask is not None:
         mask = sorted(set(_parsed("--mask", _parse_indices, args.mask, scenario.n_paths)))
         rate = counting_rate(scenario, mask)
@@ -249,7 +249,7 @@ def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
 # -- text renderers: each prints what its command's payload holds ------------
 
 
-def _check_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+def _check_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
     lines = [
         f"scenario: {scenario.name}",
         f"partition: {payload['partition']}",
@@ -263,7 +263,7 @@ def _check_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | Non
     return lines
 
 
-def _frameworks_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+def _frameworks_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
     legend = " ".join(
         f"{j + 1}={scenario.path_label(index)}" for j, index in enumerate(scenario.open_indices)
     )
@@ -280,7 +280,7 @@ def _frameworks_text(payload: dict[str, Any], scenario: SlitScenario, mode: str 
     return lines
 
 
-def _query_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+def _query_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
     condition = " | detected" if payload["given_detected"] else ""
     answers = [("In", payload), ("In", payload.get("and")), ("conjunction in", payload.get("conjunction"))]
     return [
@@ -291,7 +291,7 @@ def _query_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | Non
     ]
 
 
-def _contradictions_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+def _contradictions_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
     lines = [f"scenario: {scenario.name}", f"mode: {mode}"]
     for record in payload["records"]:
         joiner = "vs" if record["kind"] == "disjoint-certainty" else "but"
@@ -306,7 +306,7 @@ def _contradictions_text(payload: dict[str, Any], scenario: SlitScenario, mode: 
     return lines
 
 
-def _rates_text(payload: dict[str, Any], scenario: SlitScenario, mode: str | None) -> list[str]:
+def _rates_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
     lines = [f"scenario: {scenario.name}"]
     if "mask" in payload:
         lines.append(f"rate({','.join(map(str, payload['mask']))}) = {_fmt(payload['rate'])}")

@@ -10,9 +10,9 @@ marked closed) so indices stay stable when slits are toggled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .errors import (
     BadIndex,
@@ -35,69 +35,66 @@ def _require_finite(value: complex, what: str) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class Path:
+class _Entity:
+    """Mixed into a record type whose instances are equal only to
+    themselves and hash by identity, however alike their fields."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+
+class Path(namedtuple("Path", "index label amplitude is_open")):
     """One flattened path: its stable dense index, display label, amplitude
     and open/closed state."""
 
-    index: int
-    label: str
-    amplitude: complex
-    is_open: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SlitPart:
-    label: str
-    amplitude: complex
+class SlitPart(namedtuple("SlitPart", "label amplitude")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitude", _require_finite(self.amplitude, f"part {self.label!r} amplitude"))
+    def __new__(cls, label: str, amplitude: complex) -> SlitPart:
+        return super().__new__(cls, label, _require_finite(amplitude, f"part {label!r} amplitude"))
 
 
-@dataclass(frozen=True)
-class Slit:
+class Slit(namedtuple("Slit", "label amplitude is_open parts")):
     """A slit in the wall.  ``parts`` subdivides it into sub-paths whose
     amplitudes must sum to the slit amplitude."""
 
-    label: str
-    amplitude: complex
-    is_open: bool = True
-    parts: tuple[SlitPart, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitude", _require_finite(self.amplitude, f"slit {self.label!r} amplitude"))
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if self.parts:
-            labels = [p.label for p in self.parts]
+    def __new__(cls, label: str, amplitude: complex, is_open: bool = True, parts: Iterable[SlitPart] = ()) -> Slit:
+        amplitude = _require_finite(amplitude, f"slit {label!r} amplitude")
+        parts = tuple(parts)
+        if parts:
+            labels = [p.label for p in parts]
             if len(set(labels)) != len(labels):
-                raise ValueError(f"slit {self.label!r} has duplicate part labels")
-            values = [self.amplitude, *(p.amplitude for p in self.parts)]
+                raise ValueError(f"slit {label!r} has duplicate part labels")
+            values = [amplitude, *(p.amplitude for p in parts)]
             # In the power-of-two unit of the largest component: scaling loses
             # nothing the tolerance can see, and no sum or modulus overflows.
             unit = math.ldexp(1.0, math.frexp(max(max(abs(z.real), abs(z.imag)) for z in values))[1] - 1)
             scaled = [complex(z.real / unit, z.imag / unit) for z in values]
             total = _sum_amplitudes(scaled[1:])
             if abs(total - scaled[0]) > PART_SUM_TOLERANCE * max(map(abs, scaled)):
-                raise PartSumMismatch(
-                    self.label,
-                    f"parts of slit {self.label!r} sum to {total * unit}, expected {self.amplitude}",
-                )
+                raise PartSumMismatch(label, f"parts of slit {label!r} sum to {total * unit}, expected {amplitude}")
+        return super().__new__(cls, label, amplitude, is_open, parts)
 
 
-@dataclass(frozen=True, eq=False)
-class SlitScenario:
+class SlitScenario(_Entity, namedtuple("SlitScenario", "name slits metadata")):
     """A named slit configuration together with its flattened path list."""
 
-    name: str
-    slits: tuple[Slit, ...]
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    # No __slots__: the cached properties below keep their values in the
+    # instance dict.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slits", tuple(self.slits))
-        labels = [s.label for s in self.slits]
+    def __new__(cls, name: str, slits: Iterable[Slit], metadata: Mapping[str, str] | None = None) -> SlitScenario:
+        slits = tuple(slits)
+        labels = [s.label for s in slits]
         if len(set(labels)) != len(labels):
             raise ValueError("slit labels must be unique")
+        return super().__new__(cls, name, slits, {} if metadata is None else metadata)
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
@@ -136,8 +133,7 @@ class SlitScenario:
         return index
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "groups")):
     """Disjoint groups of path indices, in canonical order.
 
     Groups are sorted by smallest member; exhaustiveness over a particular
@@ -145,10 +141,10 @@ class Partition:
     combinatorial object may be read against open positions or path indices.
     """
 
-    groups: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        groups = [*map(frozenset, self.groups)]
+    def __new__(cls, groups: Iterable[Iterable[int]]) -> Partition:
+        groups = [*map(frozenset, groups)]
         if not all(groups):
             raise ValueError("partition groups must be non-empty")
         groups.sort(key=min)
@@ -158,7 +154,14 @@ class Partition:
             if overlap:
                 raise OverlappingGroups(f"path {min(overlap) + 1} appears in two groups")
             seen |= g
-        object.__setattr__(self, "groups", tuple(groups))
+        return super().__new__(cls, tuple(groups))
+
+    @classmethod
+    def _trusted(cls, groups: tuple[frozenset[int], ...]) -> Partition:
+        """A partition of groups that are already non-empty frozensets,
+        disjoint and ordered by lowest member, built without checking so:
+        for partitions canonical by construction, such as the enumeration's."""
+        return tuple.__new__(cls, (groups,))
 
     @property
     def universe(self) -> frozenset[int]:

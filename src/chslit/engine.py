@@ -13,19 +13,20 @@ partition is ``conj(c_H) * c_G`` between detected histories,
 ``delta_GH * |G|/k - conj(c_H) * c_G`` between undetected ones, and exactly
 0 across.  Its diagonal supplies candidate probabilities; a partition whose
 off-diagonal values vanish to tolerance is a consistent set (Griffiths,
-J. Stat. Phys. 36, 219 (1984)).  ``_decide`` evaluates this closed form,
-and every verdict and probability in the package comes from it.
+J. Stat. Phys. 36, 219 (1984)).  ``_group_terms`` and ``_decide`` evaluate
+this closed form, and every verdict and probability in the package comes
+from them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
-from .core import Partition, SlitScenario, _check_covers_open, _open_members, _sum_amplitudes
+from .core import Partition, SlitScenario, _check_covers_open, _Entity, _open_members, _sum_amplitudes
 from .errors import DegenerateDetector, NoOpenPaths
 
 DETECTED = "detected"
@@ -50,8 +51,7 @@ def _reference():
     return reference
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentModel:
+class ExperimentModel(_Entity, namedtuple("ExperimentModel", "scenario amplitudes scale")):
     """Immutable realization of a scenario: what the closed form reads.
 
     ``amplitudes`` are the path amplitudes times the power of two that puts
@@ -60,12 +60,9 @@ class ExperimentModel:
     With ``scale = 1 / (k * sum |amplitudes|^2)``, a group whose amplitudes
     sum to ``s`` has ``|c_G|^2 = |s|^2 * scale``.  The dense members ``psi``,
     ``group_projector`` and ``branch_projector`` delegate to
-    ``chslit.reference``, the one home of every dense object.
+    ``chslit.reference``, the one home of every dense object.  No
+    ``__slots__``: ``psi`` is cached in the instance dict.
     """
-
-    scenario: SlitScenario
-    amplitudes: tuple[complex, ...]
-    scale: float
 
     @cached_property
     def psi(self):
@@ -96,28 +93,22 @@ def build_experiment(scenario: SlitScenario) -> ExperimentModel:
     return ExperimentModel(scenario, amplitudes, 1.0 / (scenario.n_open * norm_sq))
 
 
-@dataclass(frozen=True, eq=False)
-class ConsistencyReport:
+class ConsistencyReport(
+    _Entity, namedtuple("ConsistencyReport", "mode consistent max_violation offending_pair tolerance_used")
+):
     """A verdict: the largest off-diagonal violation against the tolerance
     it was held to, and, for an inconsistent set, the labels of the two
     histories whose decoherence value is that violation."""
 
-    mode: str
-    consistent: bool
-    max_violation: float
-    offending_pair: tuple[str, str] | None
-    tolerance_used: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Framework:
-    """A consistent partition with its probability table: the unit of valid
-    inference about which path a particle took."""
+class Framework(_Entity, namedtuple("Framework", "partition mode probabilities report")):
+    """A consistent partition with its probability table, keyed by
+    ``(group, branch)``: the unit of valid inference about which path a
+    particle took."""
 
-    partition: Partition
-    mode: str
-    probabilities: Mapping[tuple[frozenset[int], str], float]
-    report: ConsistencyReport
+    __slots__ = ()
 
     def detected_total(self) -> float:
         return math.fsum(p for (_, branch), p in self.probabilities.items() if branch == DETECTED)
@@ -131,63 +122,76 @@ def _check_mode_and_tolerance(mode: str, tolerance: float) -> float:
     return abs(tolerance)  # -0 passes the test above; report it as 0
 
 
+def _group_terms(total: complex, count: int, k: int, scale: float) -> tuple[complex, float, float, float]:
+    """What the closed form reads of one group of ``count`` of the ``k``
+    open paths whose model amplitudes sum to ``total``: that sum, its
+    modulus, and the group's diagonal entries, the detected probability
+    ``|c_G|^2`` and the undetected ``|G|/k - |c_G|^2``.  They depend on the
+    group alone, whatever partition it sits in."""
+    modulus = abs(total)
+    detected = modulus * modulus * scale
+    return total, modulus, detected, count / k - detected
+
+
 def _decide(
-    sums: Sequence[complex], counts: Sequence[int], k: int, scale: float, mode: str, tolerance: float
-) -> tuple[bool, list[float] | None, float, tuple[int, int] | None, float]:
-    """The closed-form decoherence functional of one partition, judged.
+    terms: Sequence[tuple[complex, float, float, float]], scale: float, mode: str, tolerance: float
+) -> tuple[bool, float, tuple[int, int] | None, float]:
+    """The closed-form decoherence functional of one partition, judged on
+    its groups' :func:`_group_terms`.
 
-    ``sums`` and ``counts`` hold each group's sum of model amplitudes and
-    its size; ``k`` is the number of open paths.  The undetected block
-    mirrors the detected one and the cross block vanishes, so the worst
-    entry is the detected one of the first group pair ``g < h`` maximising
-    ``|conj(c_h) * c_g|`` (medium), the product of the two largest moduli
-    however ties are paired, or its real part (weak).  The tolerance is
-    relative to the largest diagonal value, at least ``1/(2n)``.
+    The undetected block mirrors the detected one and the cross block
+    vanishes, so the worst entry is the detected one of the first group pair
+    ``g < h`` maximising ``|conj(c_h) * c_g|`` (medium), the product of the
+    two largest moduli however ties are paired, or its real part (weak).
+    The tolerance is relative to the largest diagonal value, at least
+    ``1/(2n)``.
 
-    Returns ``(consistent, diagonal, max_violation, pair, tolerance_used)``:
-    ``diagonal`` lists the detected then the undetected probabilities of the
-    groups, and is None for an inconsistent set; ``pair`` holds the groups of
-    the worst entry (None for a single group).
+    Returns ``(consistent, max_violation, pair, tolerance_used)``; ``pair``
+    holds the groups of the worst entry (None for a single group).
     """
-    n = len(sums)
-    moduli = [*map(abs, sums)]
-    detected = [m * m * scale for m in moduli]
-    diagonal = detected + [c / k - d for c, d in zip(counts, detected)]
-    tolerance_used = tolerance * max(diagonal)
+    n = len(terms)
+    tolerance_used = tolerance * max([t[2] for t in terms] + [t[3] for t in terms])
     pair, violation = None, 0.0
     if n > 1 and mode == MODE_MEDIUM:
         # The largest |c_g| * |c_h| pairs the two largest moduli; the stable
         # sort keeps the first of equal moduli.
+        moduli = [t[1] for t in terms]
         g, h = sorted(range(n), key=moduli.__getitem__, reverse=True)[:2]
         pair, violation = (g, h) if g < h else (h, g), moduli[g] * moduli[h] * scale
     elif n > 1:
         # max keeps the first of equal pairs, in the order of combinations.
+        sums = [t[0] for t in terms]
         real = lambda gh: abs((sums[gh[1]].conjugate() * sums[gh[0]]).real)
         pair = max(itertools.combinations(range(n), 2), key=real)
         violation = real(pair) * scale
-    if violation > tolerance_used:
-        return False, None, violation, pair, tolerance_used
-    return True, diagonal, violation, pair, tolerance_used
+    return violation <= tolerance_used, violation, pair, tolerance_used
 
 
 def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) -> str:
     return "{%s} then %s" % (",".join(scenario.path_label(i) for i in sorted(group)), branch)
 
 
-def _framework(partition: Partition, mode: str, verdict) -> Framework:
-    """Wrap a partition the kernel found consistent with its diagonal."""
-    keys = [(group, branch) for branch in BRANCHES for group in partition.groups]
-    report = ConsistencyReport(mode, True, verdict[2], None, verdict[4])
-    return Framework(partition, mode, dict(zip(keys, verdict[1])), report)
+def _entries(group: frozenset[int], terms: tuple[complex, float, float, float]):
+    """A group's two entries of a probability table, detected then
+    undetected, from its :func:`_group_terms`."""
+    return ((group, DETECTED), terms[2]), ((group, UNDETECTED), terms[3])
+
+
+def _framework(partition: Partition, mode: str, entries: list, verdict) -> Framework:
+    """Wrap a partition the kernel found consistent, given the
+    :func:`_entries` of its groups: the table lists every detected entry,
+    then every undetected one, each in group order."""
+    table = dict([e[0] for e in entries] + [e[1] for e in entries])
+    return Framework(partition, mode, table, ConsistencyReport(mode, True, verdict[1], None, verdict[3]))
 
 
 def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance: float):
+    """The groups' terms and the kernel's verdict on them."""
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     _check_covers_open(model.scenario, partition)
-    groups = partition.groups
-    sums = [_sum_amplitudes(model.amplitudes[i] for i in g) for g in groups]
-    counts = [len(g) for g in groups]
-    return _decide(sums, counts, model.scenario.n_open, model.scale, mode, tolerance)
+    k, scale = model.scenario.n_open, model.scale
+    terms = [_group_terms(_sum_amplitudes(model.amplitudes[i] for i in g), len(g), k, scale) for g in partition.groups]
+    return terms, _decide(terms, scale, mode, tolerance)
 
 
 def group_decoherence_closed_form(
@@ -223,7 +227,7 @@ def check_consistency(
     the largest diagonal value, so the verdict does not depend on the
     overall amplitude scale; it must be finite and non-negative.
     """
-    consistent, _, violation, pair, tolerance_used = _verdict(model, partition, mode, tolerance)
+    consistent, violation, pair, tolerance_used = _verdict(model, partition, mode, tolerance)[1]
     offending = None
     if not consistent:
         offending = tuple(_history_label(model.scenario, partition.groups[g], DETECTED) for g in pair)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 
-from .core import Partition, _sum_amplitudes
+from .core import Partition, _Entity, _sum_amplitudes
 from .engine import (
     BRANCHES,
     DETECTED,
@@ -26,7 +27,9 @@ from .engine import (
     Framework,
     _check_mode_and_tolerance,
     _decide,
+    _entries,
     _framework,
+    _group_terms,
     _verdict,
 )
 from .errors import (
@@ -49,7 +52,9 @@ CERTAINTY_THRESHOLD = 1.0 - 1e-10
 NULL_THRESHOLD = 1e-10
 
 
-class ContradictionRecord(NamedTuple):
+class ContradictionRecord(
+    _Entity, namedtuple("ContradictionRecord", "kind framework_a framework_b event_a event_b p_a p_b")
+):
     """Two frameworks whose certainties cannot be combined.
 
     ``disjoint-certainty``: both events are certain given detection, yet
@@ -61,17 +66,7 @@ class ContradictionRecord(NamedTuple):
     object, it compares equal only to itself and hashes by identity.
     """
 
-    kind: str
-    framework_a: Framework
-    framework_b: Framework
-    event_a: frozenset[int]
-    event_b: frozenset[int]
-    p_a: float
-    p_b: float
-
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
+    __slots__ = ()
 
 
 def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_PATHS) -> Iterator[Partition]:
@@ -90,7 +85,7 @@ def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_PATHS) -> Iterator[Par
         # The path joins each open group in turn, then opens a new one: the
         # lexicographic order of the restricted growth strings.
         if path == n:
-            yield Partition(tuple(map(frozenset, groups)))
+            yield Partition._trusted(tuple(map(frozenset, groups)))
             return
         for group in groups:
             group.append(path)
@@ -112,13 +107,13 @@ def history_probabilities(
     """The partition as a framework: its diagonal decoherence values as
     probabilities, keyed by (group, branch), refused with InconsistentSet
     unless the partition passes consistency."""
-    verdict = _verdict(model, partition, mode, tolerance)
+    terms, verdict = _verdict(model, partition, mode, tolerance)
     if not verdict[0]:
         raise InconsistentSet(
             f"partition is not a consistent set in {mode} mode: "
-            f"max violation {verdict[2]:.3e} exceeds tolerance {verdict[4]:.3e}"
+            f"max violation {verdict[1]:.3e} exceeds tolerance {verdict[3]:.3e}"
         )
-    return _framework(partition, mode, verdict)
+    return _framework(partition, mode, [*map(_entries, partition.groups, terms)], verdict)
 
 
 build_framework = history_probabilities
@@ -140,9 +135,13 @@ def enumerate_consistent_frameworks(
     ``|Re(conj(c_B) c_A)| <= tol``.  So each candidate is built once, from
     near-zero subsets plus at most one carrier group that is not near-zero,
     in weak mode also split into such an A and B, and judged by the engine's
-    kernel on the group sums ``check_consistency`` uses.  The cost follows
-    the near-zero subsets and frameworks returned, the 2**k subset sums that
-    screen candidates, and in weak mode 2**(r-1) splits per r-path carrier.
+    kernel on the group sums ``check_consistency`` uses.  What depends on a
+    group alone, its sum, its two diagonal terms (the probabilities) and
+    its table keys, is computed once per group mask, not once per candidate
+    it sits in, and each framework is assembled from those pieces.  The
+    cost follows the near-zero subsets and frameworks returned, the 2**k
+    subset sums that screen candidates, and in weak mode 2**(r-1) splits
+    per r-path carrier.
     """
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     open_indices = model.scenario.open_indices
@@ -156,7 +155,7 @@ def enumerate_consistent_frameworks(
     # an entry is off the exact sum by less than ``slack``, so the screens
     # widen their bounds by that much (and ``bound`` by a factor for the
     # kernel's own rounding).  Passing too many candidates only costs kernel
-    # calls: the kernel decides on the correctly rounded sums ``exact``.
+    # calls: the kernel decides on the correctly rounded sums in ``terms_of``.
     sums = [0j]
     for amp in amplitudes:
         sums += [amp, *[s + amp for s in sums[1:]]]
@@ -169,8 +168,11 @@ def enumerate_consistent_frameworks(
     # its positions' weights.  starts[j] lists each near-zero subset whose
     # lowest position is j, with its weight.
     weights = [k ** (k - 1 - j) for j in range(k)]
-    exact = functools.cache(lambda mask: _sum_amplitudes(amplitudes[j] for j in range(k) if mask >> j & 1))
+    # Per group mask: the kernel's terms, the group and its table entries.
+    exact = lambda mask: _sum_amplitudes(amplitudes[j] for j in range(k) if mask >> j & 1)
+    terms_of = functools.cache(lambda mask: _group_terms(exact(mask), mask.bit_count(), k, scale))
     group_of = functools.cache(lambda mask: frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1))
+    entries_of = functools.cache(lambda mask: _entries(group_of(mask), terms_of(mask)))
     starts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for mask in itertools.compress(range(1, 1 << k), near[1:]):
         starts[(mask & -mask).bit_length() - 1].append((mask, sum(weights[j] for j in range(k) if mask >> j & 1)))
@@ -178,9 +180,12 @@ def enumerate_consistent_frameworks(
     found: list[tuple[int, Framework]] = []
 
     def judge(groups: list[int], key: int) -> None:
-        verdict = _decide([*map(exact, groups)], [*map(int.bit_count, groups)], k, scale, mode, tolerance)
+        verdict = _decide([*map(terms_of, groups)], scale, mode, tolerance)
         if verdict[0]:
-            found.append((key, _framework(Partition(tuple(map(group_of, groups))), mode, verdict)))
+            # The groups are disjoint and ordered by lowest position, which
+            # orders them by lowest path index too.
+            partition = Partition._trusted(tuple(map(group_of, groups)))
+            found.append((key, _framework(partition, mode, [*map(entries_of, groups)], verdict)))
 
     # The groups placed so far as position masks, by lowest position; the
     # carrier, at slot ``carrier`` once it is opened, may still grow.

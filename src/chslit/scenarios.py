@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from typing import Iterable
+from collections.abc import Iterable
 
 from .core import Slit, SlitPart, SlitScenario
 from .errors import (

@@ -646,7 +646,8 @@ def test_main_returns_an_exit_code_and_never_raises(tmp_path_factory, document, 
 # -- packaging ----------------------------------------------------------------------------
 
 
-def test_every_command_runs_without_numpy():
+def _run_every_command(python_flags: list[str], then: str) -> None:
+    """Run each command once in a fresh interpreter, then the check ``then``."""
     script = (
         "import sys, chslit.cli\n"
         "demo = ['--demo', 'three-slit-contradiction']\n"
@@ -654,11 +655,21 @@ def test_every_command_runs_without_numpy():
         "             ['query', *demo, '--framework', '1,2|3', '--event', '3', '--given-detected'],\n"
         "             ['contradictions', *demo], ['rates', *demo, '--mask', '1,2']):\n"
         "    assert chslit.cli.main(argv) == 0, argv\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-    )
+    ) + then
     env = dict(os.environ, PYTHONPATH=str(Path(chslit.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, *python_flags, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_command_runs_without_numpy():
+    _run_every_command([], "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+
+
+def test_every_command_runs_without_dataclasses_inspect_or_typing():
+    # -S: a site hook (a .pth file of an installed package) may import typing
+    # before chslit loads; without site, none of these three is loaded unless
+    # chslit asks for it.
+    _run_every_command(["-S"], "loaded = {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\nassert not loaded, loaded\n")
 
 
 def test_stdout_closed_by_its_reader_exits_0_quietly(tmp_path):

@@ -14,14 +14,19 @@ import chslit
 from chslit import (
     BadIndex,
     ClosedPathInGroup,
+    ConsistencyReport,
     EmptyMask,
+    ExperimentModel,
+    Framework,
     NotExhaustive,
     OverlappingGroups,
     Partition,
     PartSumMismatch,
+    Path,
     Slit,
     SlitPart,
     SlitScenario,
+    build_experiment,
     counting_rate,
     format_partition,
     format_scenario_partition,
@@ -324,3 +329,58 @@ def test_chslit_exports_exactly_the_pinned_public_names():
     assert all(getattr(chslit, name) is not None for name in lazy)
     assert eager <= PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 62
+
+
+# -- record types ---------------------------------------------------------------
+
+#: Each record type, its fields in order, and a value for each field.
+RECORDS = [
+    (Path, ("index", "label", "amplitude", "is_open"), (0, "S1", 1 + 0j, True)),
+    (SlitPart, ("label", "amplitude"), ("a", 1j)),
+    (Slit, ("label", "amplitude", "is_open", "parts"), ("S1", 1 + 0j, False, (SlitPart("a", 1 + 0j),))),
+    (Partition, ("groups",), ((frozenset({0, 1}), frozenset({2})),)),
+    (SlitScenario, ("name", "slits", "metadata"), ("s", (Slit("S1", 1 + 0j),), {"seed": "1"})),
+    (ExperimentModel, ("scenario", "amplitudes", "scale"), (THREE_SLIT, (1 + 0j, -1 + 0j, 1 + 0j), 1 / 9)),
+    (
+        ConsistencyReport,
+        ("mode", "consistent", "max_violation", "offending_pair", "tolerance_used"),
+        ("medium", False, 0.5, ("{S1} then detected", "{S2} then detected"), 1e-10),
+    ),
+    (Framework, ("partition", "mode", "probabilities", "report"), (Partition((frozenset({0}),)), "weak", {}, None)),
+]
+
+
+@pytest.mark.parametrize("kind, fields, values", RECORDS, ids=[kind.__name__ for kind, _, _ in RECORDS])
+def test_record_types_take_their_fields_in_order_or_by_keyword(kind, fields, values):
+    by_position = kind(*values)
+    by_keyword = kind(**dict(zip(fields, values)))
+    for record in (by_position, by_keyword):
+        assert [getattr(record, name) for name in fields] == list(values)
+    assert repr(by_position) == repr(by_keyword)
+
+
+def test_record_types_keep_their_defaults():
+    assert (Slit("S1", 1 + 0j).is_open, Slit("S1", 1 + 0j).parts) == (True, ())
+    assert SlitScenario("s", []).slits == () and SlitScenario("s", []).metadata == {}
+
+
+@pytest.mark.parametrize(
+    "kind, fields, values",
+    [r for r in RECORDS if r[0] not in (SlitScenario, ExperimentModel)],
+    ids=[kind.__name__ for kind, _, _ in RECORDS if kind not in (SlitScenario, ExperimentModel)],
+)
+def test_record_types_have_no_instance_dict(kind, fields, values):
+    # A record costs what its tuple costs, and takes no attribute but its fields.
+    record = kind(*values)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 0
+
+
+def test_scenario_paths_and_model_state_are_computed_on_first_use_only():
+    scenario = make_scenario([1, -1, 1])
+    assert "paths" not in vars(scenario)
+    assert scenario.paths is scenario.paths and "paths" in vars(scenario)
+    model = build_experiment(scenario)
+    assert "psi" not in vars(model)
+    assert model.psi is model.psi and "psi" in vars(model)

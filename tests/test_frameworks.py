@@ -194,11 +194,10 @@ def _summary(framework):
 
 
 _WALK_SIZES = {"quarter-turn": (2, 4, 8), "near-quarter-turn": (2, 6, 6, 6, 6, 6, 7, 7)}
+_WALK_FAMILIES = ["generic", "planted", "sparse", "mixed-open", "alternating", "quarter-turn", "near-quarter-turn"]
 
 
-@pytest.mark.parametrize(
-    "kind", ["generic", "planted", "sparse", "mixed-open", "alternating", "quarter-turn", "near-quarter-turn"]
-)
+@pytest.mark.parametrize("kind", _WALK_FAMILIES)
 def test_enumeration_equals_a_walk_over_every_partition(kind):
     # Same list, order, probabilities and reports, bit for bit.
     rng = random.Random(f"walk:{kind}")
@@ -210,6 +209,31 @@ def test_enumeration_equals_a_walk_over_every_partition(kind):
                 got = [_summary(f) for f in enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance)]
                 want = [_summary(f) for f in _walk(model, mode, tolerance)]
                 assert got == want, (kind, n, mode, tolerance)
+
+
+def _assert_canonical(partition):
+    # The enumeration builds its partitions without Partition's checks; the
+    # checked constructor must give back the same groups, in the same order.
+    checked = Partition(partition.groups)
+    assert checked == partition and hash(checked) == hash(partition)
+    assert checked.groups == partition.groups, partition
+
+
+@pytest.mark.parametrize("kind", _WALK_FAMILIES)
+def test_enumerated_frameworks_have_canonical_partitions(kind):
+    rng = random.Random(f"walk:{kind}")
+    for n in _WALK_SIZES.get(kind, (1, 2, 3, 4, 5, 6, 7)):
+        model = build_experiment(_family_scenario(rng, kind, n))
+        for mode in ("medium", "weak"):
+            for tolerance in (0.0, 1e-10, 1e-3, 0.3):
+                for framework in enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance):
+                    _assert_canonical(framework.partition)
+
+
+def test_enumerated_partitions_are_canonical():
+    for n in range(1, 8):
+        for partition in enumerate_partitions(n):
+            _assert_canonical(partition)
 
 
 def test_weak_enumeration_keeps_three_small_groups_sixty_degrees_apart():
