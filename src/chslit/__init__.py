@@ -79,9 +79,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # PEP 562: the dense reference model, and numpy with it, loads on first use.
+    # PEP 562: the dense reference model, and numpy with it, loads on first use,
+    # through the engine's one loader (``engine`` is bound by the import above).
     if name in ("History", "HistorySet", "class_operator_apply", "decoherence_functional", "history_set_for_partition"):
-        from . import reference
-
-        return getattr(reference, name)
+        return getattr(engine._reference(), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

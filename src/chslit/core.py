@@ -45,6 +45,14 @@ class _Entity:
     __hash__ = object.__hash__
 
 
+class _Checked:
+    """Mixed into a record type whose constructor checks or converts its
+    fields, so that namedtuple's ``_make``, and ``_replace``, build through it."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class Path(namedtuple("Path", "index label amplitude is_open")):
     """One flattened path: its stable dense index, display label, amplitude
     and open/closed state."""
@@ -52,14 +60,14 @@ class Path(namedtuple("Path", "index label amplitude is_open")):
     __slots__ = ()
 
 
-class SlitPart(namedtuple("SlitPart", "label amplitude")):
+class SlitPart(_Checked, namedtuple("SlitPart", "label amplitude")):
     __slots__ = ()
 
     def __new__(cls, label: str, amplitude: complex) -> SlitPart:
         return super().__new__(cls, label, _require_finite(amplitude, f"part {label!r} amplitude"))
 
 
-class Slit(namedtuple("Slit", "label amplitude is_open parts")):
+class Slit(_Checked, namedtuple("Slit", "label amplitude is_open parts")):
     """A slit in the wall.  ``parts`` subdivides it into sub-paths whose
     amplitudes must sum to the slit amplitude."""
 
@@ -83,7 +91,7 @@ class Slit(namedtuple("Slit", "label amplitude is_open parts")):
         return super().__new__(cls, label, amplitude, is_open, parts)
 
 
-class SlitScenario(_Entity, namedtuple("SlitScenario", "name slits metadata")):
+class SlitScenario(_Entity, _Checked, namedtuple("SlitScenario", "name slits metadata")):
     """A named slit configuration together with its flattened path list."""
 
     # No __slots__: the cached properties below keep their values in the
@@ -94,7 +102,7 @@ class SlitScenario(_Entity, namedtuple("SlitScenario", "name slits metadata")):
         labels = [s.label for s in slits]
         if len(set(labels)) != len(labels):
             raise ValueError("slit labels must be unique")
-        return super().__new__(cls, name, slits, {} if metadata is None else metadata)
+        return super().__new__(cls, name, slits, dict(metadata or {}))
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
@@ -133,7 +141,7 @@ class SlitScenario(_Entity, namedtuple("SlitScenario", "name slits metadata")):
         return index
 
 
-class Partition(namedtuple("Partition", "groups")):
+class Partition(_Checked, namedtuple("Partition", "groups")):
     """Disjoint groups of path indices, in canonical order.
 
     Groups are sorted by smallest member; exhaustiveness over a particular

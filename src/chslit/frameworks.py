@@ -313,11 +313,11 @@ def _clash_summary(framework: Framework, mask_of: Callable[[frozenset[int]], int
     When the whole universe is not certain, no event is, and ``core`` is the
     universe.  The bounds use the same sums as the events, so they are exact.
     """
-    total = framework.detected_total()
-    if total <= NULL_CONDITION:
-        return None
     groups = framework.partition.groups
     detected = [framework.probabilities[(g, DETECTED)] for g in groups]
+    total = math.fsum(detected)
+    if total <= NULL_CONDITION:
+        return None
     masks = [*map(mask_of, groups)]
     core = sum(
         m for g, m in enumerate(masks) if math.fsum(detected[:g] + detected[g + 1 :]) / total < CERTAINTY_THRESHOLD

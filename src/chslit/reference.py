@@ -15,12 +15,12 @@ first used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 import numpy as np
 
-from .core import Partition, _check_covers_open
+from .core import Partition, _check_covers_open, _Checked, _Entity
 from .engine import BRANCHES, DETECTED, ExperimentModel, _history_label
 from .errors import DimensionMismatch
 
@@ -30,24 +30,20 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
-class History:
+class History(_Entity, _Checked, namedtuple("History", "chain label")):
     """A chain of projectors, one per time step, earliest first."""
 
-    chain: tuple[np.ndarray, ...]
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chain", tuple(self.chain))
+    def __new__(cls, chain: Iterable[np.ndarray], label: str = "") -> History:
+        return super().__new__(cls, tuple(chain), label)
 
 
-@dataclass(frozen=True, eq=False)
-class HistorySet:
+class HistorySet(_Entity, namedtuple("HistorySet", "histories step_families")):
     """Histories sharing a chain length, with the projector family used at
     each time step."""
 
-    histories: tuple[History, ...]
-    step_families: tuple[tuple[np.ndarray, ...], ...]
+    __slots__ = ()
 
     def validate(self, atol: float = 1e-10) -> None:
         """Check each step family sums to the identity and is orthogonal."""

@@ -213,4 +213,4 @@ def refine_slit(
         replaced = True
     if not replaced:
         raise UnknownSlit(f"no slit labelled {slit_label!r}")
-    return SlitScenario(name=scenario.name, slits=tuple(slits), metadata=dict(scenario.metadata))
+    return SlitScenario(name=scenario.name, slits=tuple(slits), metadata=scenario.metadata)

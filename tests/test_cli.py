@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from chslit import (
     save_scenario,
 )
 from chslit.cli import main
+from conftest import make_scenario
 
 DEMO = ["--demo", "three-slit-contradiction"]
 
@@ -670,6 +672,86 @@ def test_every_command_runs_without_dataclasses_inspect_or_typing():
     # before chslit loads; without site, none of these three is loaded unless
     # chslit asks for it.
     _run_every_command(["-S"], "loaded = {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\nassert not loaded, loaded\n")
+
+
+#: Runs each command line read from stdin (a JSON list) through chslit.cli.main,
+#: with the source tree given as argv[1], and writes every exit code, stdout
+#: and stderr as JSON.  Only the standard library is needed.
+_CLI_CHILD = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from chslit.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _other_interpreters() -> list[str]:
+    """One working CPython >= 3.10 per minor version other than this one's."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 15)]
+    pyenv = Path.home() / ".pyenv" / "versions"
+    if pyenv.is_dir():
+        candidates += sorted(map(str, pyenv.glob("3.*/bin/python")))
+    found = {}
+    for python in filter(None, candidates):
+        try:
+            proc = subprocess.run([python, "-c", "import sys; print(*sys.version_info[:2])"],
+                                  capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0:
+            version = tuple(map(int, proc.stdout.split()))
+            if version >= (3, 10) and version != sys.version_info[:2]:
+                found.setdefault(version, python)
+    return sorted(found.values())
+
+
+def test_output_is_the_same_on_every_python_version(tmp_path):
+    others = _other_interpreters()
+    if not others:
+        pytest.skip("no other CPython >= 3.10 found")
+    six = tmp_path / "six.json"
+    six.write_text(save_scenario(make_scenario([1, -1, 0.5 + 0.25j, -0.5 - 0.25j, 1j, 2 - 1j])))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1, "name": "bad", "slits": [{"label": "S1", "amplitude": 1}]}')
+    # Each source with a partition to check and its finest partition to query.
+    sources = [(["--demo", name], "1,2|3", "1|2|3")
+               for name in ("three-slit-contradiction", "two-slit-footnote", "generic")]
+    sources.append((["--file", str(six)], "1,2|3|4,5|6", "1|2|3|4|5|6"))
+    argvs = []
+    for source, partition, finest in sources:
+        for fmt in ("text", "json"):
+            for mode in ("weak", "medium"):
+                for tol in ("0", "1e-10", "1e-3"):
+                    options = [*source, "--mode", mode, "--tol", tol, "--format", fmt]
+                    argvs += [["check", *options, "--partition", partition],
+                              ["frameworks", *options], ["contradictions", *options]]
+            argvs += [["query", *source, "--framework", finest, "--event", "1,3", "--given-detected", "--format", fmt],
+                      ["rates", *source, "--mask", "1,2", "--all-single", "--format", fmt]]
+    # Input errors that chslit words itself.  argparse's "invalid choice" message
+    # is left out: CPython 3.12.8 and 3.13.1 changed how it quotes the choices.
+    argvs += [["check", *DEMO, "--partition", "1,9"], ["check", *DEMO, "--partition", "1,2|3", "--tol", "-1"],
+              ["frameworks", "--file", str(bad)], ["frameworks", "--file", str(tmp_path / "missing.json")]]
+    src = str(Path(chslit.__file__).resolve().parents[1])
+
+    def outputs(python: str) -> list:
+        proc = subprocess.run([python, "-I", "-c", _CLI_CHILD, src], input=json.dumps(argvs),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    expected = outputs(sys.executable)
+    assert {code for _, code, _, _ in expected} >= {0, 2, 3}
+    for python in others:
+        got = outputs(python)
+        assert len(got) == len(expected)
+        for mine, theirs in zip(expected, got):
+            assert theirs == mine, python
 
 
 def test_stdout_closed_by_its_reader_exits_0_quietly(tmp_path):

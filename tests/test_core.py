@@ -3,9 +3,14 @@ public names."""
 
 from __future__ import annotations
 
+import copy
 import math
+import os
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, strategies as st
@@ -331,6 +336,23 @@ def test_chslit_exports_exactly_the_pinned_public_names():
     assert len(PUBLIC_NAMES) == 62
 
 
+def test_the_reference_record_types_load_without_dataclasses():
+    script = (
+        "import sys\n"
+        "preloaded = 'dataclasses' in sys.modules\n"
+        "import chslit\n"
+        "chslit.History\n"
+        "print(preloaded, 'dataclasses' in sys.modules, 'chslit.reference' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(FilePath(chslit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    preloaded, loaded, reference_loaded = proc.stdout.split()
+    if preloaded == "True":
+        pytest.skip("this interpreter loads dataclasses before chslit is imported")
+    assert (loaded, reference_loaded) == ("False", "True")
+
+
 # -- record types ---------------------------------------------------------------
 
 #: Each record type, its fields in order, and a value for each field.
@@ -375,6 +397,56 @@ def test_record_types_have_no_instance_dict(kind, fields, values):
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
         record.extra = 0
+
+
+#: For each record type whose constructor checks its fields: a valid record
+#: and a replacement of some of its fields that the constructor refuses.
+BAD_REPLACEMENTS = [
+    (SlitPart("a", 1), {"amplitude": float("nan")}),
+    (SlitPart("a", 1), {"amplitude": "one"}),
+    (Slit("S1", 1), {"amplitude": float("inf")}),
+    (Slit("S1", 1), {"parts": (SlitPart("a", 5),)}),
+    (Slit("S1", 1), {"parts": (SlitPart("a", 1), SlitPart("a", 0))}),
+    (SlitScenario("x", [Slit("A", 1)]), {"slits": (Slit("A", 1), Slit("A", 2))}),
+    (Partition([{0}, {1}]), {"groups": ({0}, {0, 1})}),
+    (Partition([{0}, {1}]), {"groups": ({0}, ())}),
+]
+
+
+def _raised(build) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "record, bad", BAD_REPLACEMENTS, ids=[f"{type(r).__name__}-{i}" for i, (r, _) in enumerate(BAD_REPLACEMENTS)]
+)
+def test_replace_and_make_refuse_what_the_constructor_refuses(record, bad):
+    kind = type(record)
+    fields = {**record._asdict(), **bad}
+    expected = _raised(lambda: kind(**fields))
+    assert issubclass(expected[0], (ValueError, chslit.ChslitError))
+    assert _raised(lambda: record._replace(**bad)) == expected
+    assert _raised(lambda: kind._make(fields.values())) == expected
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        assert _raised(lambda: copy.replace(record, **bad)) == expected
+
+
+def test_replace_and_make_build_what_the_constructor_builds():
+    assert type(SlitPart("a", 1)._replace(amplitude=2).amplitude) is complex
+    assert Slit._make(["S", 1, False, [SlitPart("a", 1)]]) == Slit("S", 1, False, (SlitPart("a", 1),))
+    scenario = SlitScenario("x", [Slit("A", 1)])._replace(slits=[Slit("B", 2)])
+    assert scenario.slits == (Slit("B", 2),) and scenario.metadata == {}
+
+
+def test_partition_replace_and_make_give_the_canonical_partition():
+    canonical = Partition((frozenset({0, 1}), frozenset({2})))
+    replaced = Partition([{0}, {1}])._replace(groups=({2}, {0, 1}))
+    assert replaced == canonical and replaced.groups == canonical.groups and len(replaced) == 2
+    assert Partition._make([[{3}, {1}, {0, 2}]]) == Partition([{0, 2}, {1}, {3}])
+    with pytest.raises(OverlappingGroups, match="path 1 appears in two groups"):
+        Partition([{0}, {1}])._replace(groups=({0}, {0, 1}))
 
 
 def test_scenario_paths_and_model_state_are_computed_on_first_use_only():

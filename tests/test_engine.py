@@ -143,6 +143,20 @@ def test_class_operator_slit_then_detection_by_hand():
     np.testing.assert_allclose(out, detector_direction(model) / 3.0, atol=1e-15)
 
 
+def test_histories_are_entities_that_hold_their_chain_as_a_tuple():
+    p = np.eye(3, dtype=complex)
+    h = History(chain=[p], label="x")
+    assert type(h.chain) is tuple and h.chain[0] is p and History([p]).label == ""
+    assert type(h._replace(chain=[p, p]).chain) is tuple
+    # Equal only to themselves and hashed by identity, however alike.
+    twin = History(chain=[p], label="x")
+    assert h == h and h != twin and hash(h) != hash(twin)
+    family = HistorySet(histories=(h,), step_families=((p,),))
+    assert family == family and family != HistorySet(histories=(h,), step_families=((p,),))
+    with pytest.raises(AttributeError):
+        h.label = "y"
+
+
 def test_class_operator_empty_chain_is_identity():
     model = build_experiment(THREE_SLIT)
     out = class_operator_apply(model, History(chain=()), model.psi)

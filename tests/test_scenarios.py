@@ -12,6 +12,8 @@ from chslit import (
     ParseError,
     PartSumMismatch,
     SchemaError,
+    Slit,
+    SlitScenario,
     UnknownScenario,
     UnknownSlit,
     build_experiment,
@@ -277,6 +279,16 @@ def test_footnote_retrodictions_clash_through_the_engine():
     assert conditional_probability(model, coarse, {3}) == pytest.approx(1.0, abs=1e-12)
     # ... but splitting the other way makes it surely via S2.upper.
     assert conditional_probability(model, fine, {1}) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_scenario_keeps_its_own_copy_of_the_metadata():
+    metadata = {"seed": "1"}
+    scenario = SlitScenario("x", [Slit("A", 1)], metadata)
+    metadata["seed"] = "2"
+    assert scenario.metadata == {"seed": "1"}
+    assert json.loads(save_scenario(scenario))["metadata"] == {"seed": "1"}
+    refined = refine_slit(scenario, "A", [("a", 1)])
+    assert refined.metadata == {"seed": "1"} and refined.metadata is not scenario.metadata
 
 
 # -- hostile documents ----------------------------------------------------------------
