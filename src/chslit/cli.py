@@ -350,6 +350,12 @@ class _Parser(argparse.ArgumentParser):
         _fail(message)
         raise SystemExit(EXIT_INPUT_ERROR)
 
+    def _check_value(self, action, value):
+        # Worded here: CPython 3.12.8 and 3.13.1 stopped quoting the choices.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

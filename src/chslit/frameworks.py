@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
@@ -369,18 +370,6 @@ def _clash_kinds(key_a: tuple[int, int], key_b: tuple[int, int]) -> tuple[bool, 
     return not core_a & core_b, not core_a & ~span_b, not core_b & ~span_a
 
 
-def _clashes(kind: str, fa: Framework, fb: Framework, certain: _Events, other: _Events) -> list[ContradictionRecord]:
-    """A record for each certain event of ``fa`` whose mask is disjoint from
-    that of an ``other`` event of ``fb``: two disjoint certainties, or a
-    certain event inside a null event, whose mask is its complement."""
-    return [
-        ContradictionRecord(kind, fa, fb, ea, eb, pa, pb)
-        for ma, ea, pa in certain
-        for mb, eb, pb in other
-        if not ma & mb
-    ]
-
-
 def find_contradictions(
     model: ExperimentModel,
     mode: str = MODE_MEDIUM,
@@ -402,7 +391,11 @@ def find_contradictions(
     :func:`_clash_kinds` are visited, so the cost follows the pairs that can
     clash, not all pairs.  A framework's events are tabulated when it first
     sits in a visited pair; clashes are tested on path masks, and each
-    event set is built once per mask.
+    event set is built once per mask.  Each event list also has a floor, the
+    AND of its masks: the paths in every certain event, or outside every
+    null event.  A certain event that meets the other list's floor meets
+    every mask in it, so it is dropped before its inner loop, and the tests
+    made follow the certain events that clash.
     """
     frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance, max_paths=max_paths)
     mask_of = functools.cache(lambda group: sum(1 << i for i in group))
@@ -426,15 +419,26 @@ def find_contradictions(
     pairs.sort()
 
     event = functools.cache(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
-    events = functools.cache(lambda i: _clash_events(judged[i][1], event))
+    # Each event list with its floor: the AND of its masks, -1 when empty.
+    floored = lambda es: (es, functools.reduce(operator.and_, [m for m, _, _ in es], -1))
+    events = functools.cache(lambda i: [*map(floored, _clash_events(judged[i][1], event))])
+    # ContradictionRecord checks nothing: this only skips namedtuple's Python-level __new__.
+    new = tuple.__new__
     records: list[ContradictionRecord] = []
-    for i, j, (disjoint, a_in_b, b_in_a) in pairs:
+    for i, j, kinds in pairs:
         (fa, _), (fb, _) = judged[i], judged[j]
         (certain_a, null_a), (certain_b, null_b) = events(i), events(j)
-        if disjoint:
-            records += _clashes("disjoint-certainty", fa, fb, certain_a, certain_b)
-        if a_in_b:
-            records += _clashes("implication-violation", fa, fb, certain_a, null_b)
-        if b_in_a:
-            records += _clashes("implication-violation", fb, fa, certain_b, null_a)
+        jobs = (
+            ("disjoint-certainty", fa, fb, certain_a, certain_b),
+            ("implication-violation", fa, fb, certain_a, null_b),
+            ("implication-violation", fb, fa, certain_b, null_a),
+        )
+        for kind, f1, f2, (certain, _), (other, floor) in itertools.compress(jobs, kinds):
+            records += [
+                new(ContradictionRecord, (kind, f1, f2, ea, eb, pa, pb))
+                for ma, ea, pa in certain
+                if not ma & floor
+                for mb, eb, pb in other
+                if not ma & mb
+            ]
     return records

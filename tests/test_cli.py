@@ -427,6 +427,28 @@ def test_unknown_demo_rejected_by_parser(capsys):
     assert code == 2
 
 
+# A bad choice of each kind, with the line chslit prints for it.
+_INVALID_CHOICES = [
+    (["check", *DEMO, "--partition", "1,2|3", "--mode", "bogus"],
+     "argument --mode: invalid choice: 'bogus' (choose from 'weak', 'medium')"),
+    (["check", "--demo", "bogus", "--partition", "1,2|3"],
+     "argument --demo: invalid choice: 'bogus' "
+     "(choose from 'three-slit-contradiction', 'two-slit-footnote', 'generic')"),
+    (["check", *DEMO, "--partition", "1,2|3", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["bogus"],
+     "argument command: invalid choice: 'bogus' "
+     "(choose from 'check', 'frameworks', 'query', 'contradictions', 'rates')"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _INVALID_CHOICES)
+def test_invalid_choice_message_is_worded_by_chslit(capsys, argv, message):
+    # The same line on every Python version: argparse's own wording changed
+    # in CPython 3.12.8 and 3.13.1.
+    assert run(capsys, *argv) == (2, "", f"chslit: error: {message}\n")
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "check", *DEMO, "--partition", "1,2|3", "--plot")
     assert code == 2
@@ -733,10 +755,10 @@ def test_output_is_the_same_on_every_python_version(tmp_path):
                               ["frameworks", *options], ["contradictions", *options]]
             argvs += [["query", *source, "--framework", finest, "--event", "1,3", "--given-detected", "--format", fmt],
                       ["rates", *source, "--mask", "1,2", "--all-single", "--format", fmt]]
-    # Input errors that chslit words itself.  argparse's "invalid choice" message
-    # is left out: CPython 3.12.8 and 3.13.1 changed how it quotes the choices.
+    # Input errors that chslit words itself.
     argvs += [["check", *DEMO, "--partition", "1,9"], ["check", *DEMO, "--partition", "1,2|3", "--tol", "-1"],
-              ["frameworks", "--file", str(bad)], ["frameworks", "--file", str(tmp_path / "missing.json")]]
+              ["frameworks", "--file", str(bad)], ["frameworks", "--file", str(tmp_path / "missing.json")],
+              *(argv for argv, _ in _INVALID_CHOICES)]
     src = str(Path(chslit.__file__).resolve().parents[1])
 
     def outputs(python: str) -> list:
