@@ -422,7 +422,8 @@ def find_contradictions(
     # Each event list with its floor: the AND of its masks, -1 when empty.
     floored = lambda es: (es, functools.reduce(operator.and_, [m for m, _, _ in es], -1))
     events = functools.cache(lambda i: [*map(floored, _clash_events(judged[i][1], event))])
-    # ContradictionRecord checks nothing: this only skips namedtuple's Python-level __new__.
+    # ContradictionRecord checks nothing (its contract test pins that it has
+    # no __new__ of its own): this only skips namedtuple's Python-level __new__.
     new = tuple.__new__
     records: list[ContradictionRecord] = []
     for i, j, kinds in pairs:
