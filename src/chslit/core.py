@@ -28,10 +28,10 @@ from .errors import (
 PART_SUM_TOLERANCE = 1e-12
 
 
-def _require_finite(value: complex, what: str) -> complex:
+def _require_finite(value: complex, kind: str, label: str) -> complex:
     z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{what} must have finite components, got {z!r}")
+        raise ValueError(f"{kind} {label!r} amplitude must have finite components, got {z!r}")
     return z
 
 
@@ -64,7 +64,7 @@ class SlitPart(_Checked, namedtuple("SlitPart", "label amplitude")):
     __slots__ = ()
 
     def __new__(cls, label: str, amplitude: complex) -> SlitPart:
-        return super().__new__(cls, label, _require_finite(amplitude, f"part {label!r} amplitude"))
+        return super().__new__(cls, label, _require_finite(amplitude, "part", label))
 
 
 class Slit(_Checked, namedtuple("Slit", "label amplitude is_open parts")):
@@ -74,7 +74,7 @@ class Slit(_Checked, namedtuple("Slit", "label amplitude is_open parts")):
     __slots__ = ()
 
     def __new__(cls, label: str, amplitude: complex, is_open: bool = True, parts: Iterable[SlitPart] = ()) -> Slit:
-        amplitude = _require_finite(amplitude, f"slit {label!r} amplitude")
+        amplitude = _require_finite(amplitude, "slit", label)
         parts = tuple(parts)
         if parts:
             labels = [p.label for p in parts]

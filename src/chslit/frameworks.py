@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
@@ -42,8 +43,8 @@ from .errors import (
 )
 
 #: Default cap on open-path count for enumeration: a guard, not a cost
-#: model.  The search keeps 2**k subset sums, and an input with few nonzero
-#: amplitudes has up to Bell(k) frameworks (Bell(12) = 4,213,597).
+#: model.  An input with few nonzero amplitudes has up to Bell(k)
+#: frameworks (Bell(12) = 4,213,597), and weak mode keeps 2**k subset sums.
 DEFAULT_MAX_PATHS = 12
 
 #: An event this close to probability one counts as certain in a record.
@@ -120,6 +121,83 @@ def history_probabilities(
 build_framework = history_probabilities
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``: a cache whose
+    creation costs a dict, where ``functools.cache`` also copies the
+    wrapped function's metadata, several microseconds per enumeration."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+def _subset_sums(amplitudes: list[complex]) -> list[complex]:
+    """Every subset's sum, indexed by the bit mask of its positions: the
+    sum without the highest position, plus that position's amplitude."""
+    sums = [0j]
+    for amp in amplitudes:
+        sums += [s + amp for s in sums]
+    return sums
+
+
+def _slack(amplitudes: list[complex]) -> float:
+    """A bound on how far a sum of some of the amplitudes, added in at most
+    ``k - 1`` float additions, lies from the exact sum.  A complex addition
+    rounds each component, so it is off by at most 2**-53 of its result, a
+    partial sum of modulus at most ``sum |a|``; the factor 2 left over covers
+    the rounding of that bound."""
+    return len(amplitudes) * 2.0**-52 * math.fsum(map(abs, amplitudes))
+
+
+def _near_zero(amplitudes: list[complex], bound: float) -> set[int]:
+    """The bit masks of the positions whose amplitudes may sum to a modulus
+    of at most ``sqrt(bound)``: every mask whose exact sum does, the empty
+    one included, and possibly a few more.
+
+    A meet in the middle (Horowitz and Sahni, JACM 21, 277 (1974)): the
+    subset sums ``L`` of the low ``h = k // 2`` positions and ``R`` of the
+    others are tabulated, and mask ``lo | hi << h`` is kept when
+    ``|L + R| <= radius``.  Both half sums are added left to right and
+    ``L + R`` adds once more: at most ``k - 1`` additions, so it is off the
+    exact sum by at most ``(k - 1) 2**-53 sum |a|``, below :func:`_slack`,
+    and ``radius = sqrt(bound) + slack`` keeps every mask the kernel could
+    judge near-zero.
+
+    Only pairs whose sort components nearly cancel are tested.  The low sums
+    are sorted by one component ``x`` (the real part, or the imaginary part
+    when the amplitudes spread more along it), and a high sum with component
+    ``y`` is tested against those with ``x`` in ``[-y - window, -y + window]``.
+    A kept pair has ``|fl(x + y)| <= radius``, so ``|x + y| <= radius (1 +
+    2**-52)``; the window's ends are rounded by at most ``2**-53 (|y| +
+    window)``, with ``|y| <= sum |a|``.  ``window = radius (1 + 2**-50) +
+    slack`` covers both, so the window drops no pair the test would keep.
+    The cost is a sort and two bisections per high sum, O(k 2**(k/2)), plus
+    one test per pair in a window, never more than the 2**k of a full table.
+    """
+    h = len(amplitudes) // 2
+    slack = _slack(amplitudes)
+    radius = math.sqrt(bound) + slack
+    window = radius * (1.0 + 2.0**-50) + slack
+    real, imag = operator.attrgetter("real"), operator.attrgetter("imag")
+    part = real if sum(map(abs, map(real, amplitudes))) >= sum(map(abs, map(imag, amplitudes))) else imag
+    low, high = _subset_sums(amplitudes[:h]), _subset_sums(amplitudes[h:])
+    order = sorted(range(len(low)), key=[*map(part, low)].__getitem__)
+    keys = [part(low[lo]) for lo in order]
+    targets = [-y for y in map(part, high)]
+    first = [*map(bisect_left, itertools.repeat(keys), [y - window for y in targets])]
+    last = [*map(bisect_right, itertools.repeat(keys), [y + window for y in targets])]
+    near = set()
+    for hi in itertools.compress(range(len(high)), map(operator.lt, first, last)):
+        r, top = high[hi], hi << h
+        near.update(top | lo for lo in order[first[hi] : last[hi]] if abs(low[lo] + r) <= radius)
+    return near
+
+
 def enumerate_consistent_frameworks(
     model: ExperimentModel,
     mode: str = MODE_MEDIUM,
@@ -140,9 +218,9 @@ def enumerate_consistent_frameworks(
     group alone, its sum, its two diagonal terms (the probabilities) and
     its table keys, is computed once per group mask, not once per candidate
     it sits in, and each framework is assembled from those pieces.  The
-    cost follows the near-zero subsets and frameworks returned, the 2**k
-    subset sums that screen candidates, and in weak mode 2**(r-1) splits
-    per r-path carrier.
+    cost follows the near-zero subsets and frameworks returned, plus the
+    2**(k/2)-entry half tables of :func:`_near_zero`; weak mode adds a
+    2**k-entry subset-sum table and 2**(r-1) splits per r-path carrier.
     """
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     open_indices = model.scenario.open_indices
@@ -151,19 +229,16 @@ def enumerate_consistent_frameworks(
         raise TooLarge(f"{k} open paths exceeds the enumeration cap of {max_paths}")
     scale = model.scale
     amplitudes = [model.amplitudes[i] for i in open_indices]
-    # sums[S] for the open positions in bit mask S: the sum without the
-    # highest position, plus that position's amplitude.  Added left to right,
-    # an entry is off the exact sum by less than ``slack``, so the screens
-    # widen their bounds by that much (and ``bound`` by a factor for the
-    # kernel's own rounding).  Passing too many candidates only costs kernel
-    # calls: the kernel decides on the correctly rounded sums in ``terms_of``.
-    sums = [0j]
-    for amp in amplitudes:
-        sums += [amp, *[s + amp for s in sums[1:]]]
+    # The near-zero subsets as bit masks of open positions.  Their sums, and
+    # in weak mode the table sums[S] of every subset S, are off the exact
+    # sums by less than ``slack``, so the screens widen their bounds by that
+    # much (and ``bound`` by a factor for the kernel's own rounding).  Passing
+    # too many candidates only costs kernel calls: the kernel decides on the
+    # correctly rounded sums in ``terms_of``.
     bound = (1 if mode == MODE_MEDIUM else 2) * tolerance * (1.0 + 1e-9) / scale
-    slack = k * 2.0**-52 * math.fsum(map(abs, amplitudes))
-    radius = math.sqrt(bound) + slack
-    near = [mag <= radius for mag in map(abs, sums)]
+    near = _near_zero(amplitudes, bound)
+    if mode != MODE_MEDIUM:
+        sums, slack = _subset_sums(amplitudes), _slack(amplitudes)
     # A partition's restricted growth string, read as a base-k number, sorts
     # the frameworks; a group at slot g adds g times its weight, the sum of
     # its positions' weights.  starts[j] lists each near-zero subset whose
@@ -171,22 +246,22 @@ def enumerate_consistent_frameworks(
     weights = [k ** (k - 1 - j) for j in range(k)]
     # Per group mask: the kernel's terms, the group and its table entries.
     exact = lambda mask: _sum_amplitudes(amplitudes[j] for j in range(k) if mask >> j & 1)
-    terms_of = functools.cache(lambda mask: _group_terms(exact(mask), mask.bit_count(), k, scale))
-    group_of = functools.cache(lambda mask: frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1))
-    entries_of = functools.cache(lambda mask: _entries(group_of(mask), terms_of(mask)))
+    terms_of = _Memo(lambda mask: _group_terms(exact(mask), mask.bit_count(), k, scale))
+    group_of = _Memo(lambda mask: frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1))
+    entries_of = _Memo(lambda mask: _entries(group_of[mask], terms_of[mask]))
     starts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for mask in itertools.compress(range(1, 1 << k), near[1:]):
+    for mask in sorted(near - {0}):
         starts[(mask & -mask).bit_length() - 1].append((mask, sum(weights[j] for j in range(k) if mask >> j & 1)))
 
     found: list[tuple[int, Framework]] = []
 
     def judge(groups: list[int], key: int) -> None:
-        verdict = _decide([*map(terms_of, groups)], scale, mode, tolerance)
+        verdict = _decide([*map(terms_of.__getitem__, groups)], scale, mode, tolerance)
         if verdict[0]:
             # The groups are disjoint and ordered by lowest position, which
             # orders them by lowest path index too.
-            partition = Partition._trusted(tuple(map(group_of, groups)))
-            found.append((key, _framework(partition, mode, [*map(entries_of, groups)], verdict)))
+            partition = Partition._trusted(tuple(map(group_of.__getitem__, groups)))
+            found.append((key, _framework(partition, mode, [*map(entries_of.__getitem__, groups)], verdict)))
 
     # The groups placed so far as position masks, by lowest position; the
     # carrier, at slot ``carrier`` once it is opened, may still grow.
@@ -195,7 +270,7 @@ def enumerate_consistent_frameworks(
     def extend(rest: int, key: int, carrier: int | None) -> None:
         """Place the lowest of the unplaced positions ``rest``."""
         if not rest:
-            if carrier is None or not near[slots[carrier]]:
+            if carrier is None or slots[carrier] not in near:
                 judge(slots, key)  # else built elsewhere, with the carrier as a near-zero subset
             # Weak mode splits the carrier into A, which keeps its lowest
             # position, and B, neither near-zero, whose table sums pass
@@ -206,7 +281,7 @@ def enumerate_consistent_frameworks(
             others = b = whole & (whole - 1)
             while b:
                 a = whole ^ b
-                if not (near[a] or near[b]):
+                if not (a in near or b in near):
                     m_a, m_b = abs(sums[a]), abs(sums[b])
                     dot = sums[a].real * sums[b].real + sums[a].imag * sums[b].imag
                     if abs(dot) <= bound + slack * (m_a + m_b + slack) + 2.0**-50 * m_a * m_b:

@@ -42,27 +42,31 @@ GENERIC_SEED = 1643
 BUILTIN_SCENARIOS = ("three-slit-contradiction", "two-slit-footnote", "generic")
 
 
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise SchemaError(path, message)
+def _at(*where: str | int) -> str:
+    """A field's path, as ``slits[2].amplitude.re``: built only for an error."""
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in where)[1:]
 
 
-def _number(value: object, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
+def _number(value: object, where: tuple[str | int, ...], key: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(_at(*where, key), "expected a number")
     # A comparison, not math.isfinite: integer literals may exceed the double range.
-    _require(abs(value) <= sys.float_info.max, path, "must be finite")
+    if not abs(value) <= sys.float_info.max:
+        raise SchemaError(_at(*where, key), "must be finite")
     return float(value)
 
 
-def _amplitude(value: object, path: str) -> complex:
-    _require(isinstance(value, dict), path, "expected an object with fields 're' and 'im'")
-    for key in ("re", "im"):
-        _require(key in value, f"{path}.{key}", "missing field")
-    return complex(_number(value["re"], f"{path}.re"), _number(value["im"], f"{path}.im"))
+def _amplitude(value: object, *where: str | int) -> complex:
+    if not isinstance(value, dict):
+        raise SchemaError(_at(*where), "expected an object with fields 're' and 'im'")
+    if "re" not in value or "im" not in value:
+        raise SchemaError(_at(*where, "im" if "re" in value else "re"), "missing field")
+    return complex(_number(value["re"], where, "re"), _number(value["im"], where, "im"))
 
 
-def _text(value: object, path: str) -> str:
-    _require(isinstance(value, str), path, "expected a string")
+def _text(value: object, *where: str | int) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(_at(*where), "expected a string")
     return value
 
 
@@ -71,7 +75,8 @@ def load_scenario(data: str | bytes) -> SlitScenario:
 
     Raises ParseError for malformed JSON, SchemaError (naming the field) for
     structural problems, and PartSumMismatch when a slit's parts do not sum
-    to its amplitude.
+    to its amplitude.  Checks are plain tests: a field's path and message
+    are built only when it fails.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -79,47 +84,60 @@ def load_scenario(data: str | bytes) -> SlitScenario:
         raise ParseError(f"scenario document is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("scenario document is nested too deeply") from None
-    _require(isinstance(doc, dict), "$", "expected a JSON object")
-    _require("version" in doc, "version", "missing field")
+    if not isinstance(doc, dict):
+        raise SchemaError("$", "expected a JSON object")
+    if "version" not in doc:
+        raise SchemaError("version", "missing field")
     version = doc["version"]
     # JSON true loads as True, and True == 1: refuse a bool, as _number does.
-    valid = version == SCHEMA_VERSION and not isinstance(version, bool)
-    _require(valid, "version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    if version != SCHEMA_VERSION or isinstance(version, bool):
+        raise SchemaError("version", f"expected {SCHEMA_VERSION}, got {version!r}")
     name = _text(doc.get("name"), "name")
-    _require(isinstance(doc.get("slits"), list), "slits", "expected a list")
-    _require(len(doc["slits"]) > 0, "slits", "must not be empty")
+    raw_slits = doc.get("slits")
+    if not isinstance(raw_slits, list):
+        raise SchemaError("slits", "expected a list")
+    if not raw_slits:
+        raise SchemaError("slits", "must not be empty")
 
     slits: list[Slit] = []
     seen_labels: set[str] = set()
-    for i, raw in enumerate(doc["slits"]):
-        where = f"slits[{i}]"
-        _require(isinstance(raw, dict), where, "expected an object")
-        label = _text(raw.get("label"), f"{where}.label")
-        _require(label not in seen_labels, f"{where}.label", f"duplicate slit label {label!r}")
+    for i, raw in enumerate(raw_slits):
+        if not isinstance(raw, dict):
+            raise SchemaError(f"slits[{i}]", "expected an object")
+        label = _text(raw.get("label"), "slits", i, "label")
+        if label in seen_labels:
+            raise SchemaError(f"slits[{i}].label", f"duplicate slit label {label!r}")
         seen_labels.add(label)
-        amplitude = _amplitude(raw.get("amplitude"), f"{where}.amplitude")
-        _require(isinstance(raw.get("open"), bool), f"{where}.open", "expected true or false")
+        amplitude = _amplitude(raw.get("amplitude"), "slits", i, "amplitude")
+        if not isinstance(raw.get("open"), bool):
+            raise SchemaError(f"slits[{i}].open", "expected true or false")
         parts: list[SlitPart] = []
         if "parts" in raw:
-            _require(isinstance(raw["parts"], list), f"{where}.parts", "expected a list")
-            _require(len(raw["parts"]) > 0, f"{where}.parts", "must not be empty when present")
+            raw_parts = raw["parts"]
+            if not isinstance(raw_parts, list):
+                raise SchemaError(f"slits[{i}].parts", "expected a list")
+            if not raw_parts:
+                raise SchemaError(f"slits[{i}].parts", "must not be empty when present")
             part_labels: set[str] = set()
-            for j, raw_part in enumerate(raw["parts"]):
-                part_where = f"{where}.parts[{j}]"
-                _require(isinstance(raw_part, dict), part_where, "expected an object")
-                part_label = _text(raw_part.get("label"), f"{part_where}.label")
-                _require(part_label not in part_labels, f"{part_where}.label", f"duplicate part label {part_label!r}")
+            for j, raw_part in enumerate(raw_parts):
+                if not isinstance(raw_part, dict):
+                    raise SchemaError(f"slits[{i}].parts[{j}]", "expected an object")
+                part_label = _text(raw_part.get("label"), "slits", i, "parts", j, "label")
+                if part_label in part_labels:
+                    raise SchemaError(f"slits[{i}].parts[{j}].label", f"duplicate part label {part_label!r}")
                 part_labels.add(part_label)
-                parts.append(SlitPart(part_label, _amplitude(raw_part.get("amplitude"), f"{part_where}.amplitude")))
+                part_amplitude = _amplitude(raw_part.get("amplitude"), "slits", i, "parts", j, "amplitude")
+                parts.append(SlitPart(part_label, part_amplitude))
         # Slit construction raises PartSumMismatch with the slit label.
-        slits.append(Slit(label=label, amplitude=amplitude, is_open=raw["open"], parts=tuple(parts)))
+        slits.append(Slit(label, amplitude, raw["open"], tuple(parts)))
 
     metadata: dict[str, str] = {}
     if "metadata" in doc:
-        _require(isinstance(doc["metadata"], dict), "metadata", "expected an object")
+        if not isinstance(doc["metadata"], dict):
+            raise SchemaError("metadata", "expected an object")
         for key, value in doc["metadata"].items():
-            metadata[str(key)] = _text(value, f"metadata.{key}")
-    return SlitScenario(name=name, slits=tuple(slits), metadata=metadata)
+            metadata[str(key)] = _text(value, "metadata", key)
+    return SlitScenario(name, tuple(slits), metadata)
 
 
 def save_scenario(scenario: SlitScenario) -> str:

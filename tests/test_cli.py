@@ -714,7 +714,7 @@ json.dump(results, sys.stdout)
 
 
 def _other_interpreters() -> list[str]:
-    """One working CPython >= 3.10 per minor version other than this one's."""
+    """One working CPython >= 3.10 per patch release other than this one's."""
     candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 15)]
     pyenv = Path.home() / ".pyenv" / "versions"
     if pyenv.is_dir():
@@ -722,13 +722,13 @@ def _other_interpreters() -> list[str]:
     found = {}
     for python in filter(None, candidates):
         try:
-            proc = subprocess.run([python, "-c", "import sys; print(*sys.version_info[:2])"],
+            proc = subprocess.run([python, "-c", "import sys; print(*sys.version_info[:3])"],
                                   capture_output=True, text=True, timeout=30)
         except (OSError, subprocess.TimeoutExpired):
             continue
         if proc.returncode == 0:
             version = tuple(map(int, proc.stdout.split()))
-            if version >= (3, 10) and version != sys.version_info[:2]:
+            if version >= (3, 10) and version != sys.version_info[:3]:
                 found.setdefault(version, python)
     return sorted(found.values())
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import math
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +32,7 @@ from chslit import (
     partition_on_paths,
     query_event,
 )
+from chslit.core import _sum_amplitudes
 from conftest import (
     brute_consistent_partitions,
     brute_partitions,
@@ -266,6 +268,85 @@ def test_generic_enumeration_makes_at_most_k_kernel_calls(monkeypatch):
         frameworks = enumerate_consistent_frameworks(model, mode=mode)
         assert [f.partition for f in frameworks] == [Partition((frozenset(range(12)),))]
         assert 1 <= len(calls) <= 12, mode
+    # At 22 paths a table of every subset sum would hold 2**22 entries.  A
+    # generic scenario gives the coarsest framework alone; one with a planted
+    # zero-sum subset also gives the split into that subset and the rest.
+    rng = random.Random(22)
+    amplitudes = random_amplitudes(rng, 22)
+    subset = sorted(rng.sample(range(22), 7))
+    planted = amplitudes[:]
+    planted[subset[-1]] = -sum(amplitudes[i] for i in subset[:-1])
+    everything = frozenset(range(22))
+    split = Partition((frozenset(subset), everything - frozenset(subset)))
+    for amps, want in ((amplitudes, [Partition((everything,))]), (planted, [Partition((everything,)), split])):
+        calls.clear()
+        frameworks = enumerate_consistent_frameworks(build_experiment(make_scenario(amps)), max_paths=22)
+        assert [f.partition for f in frameworks] == want
+        assert 1 <= len(calls) <= 22
+
+
+def _join_amplitudes(rng: random.Random, kind: str, k: int) -> list[complex]:
+    """Amplitudes for the near-zero join: ``generic``; a zero-sum subset
+    planted, in float arithmetic, inside the low half (``planted-low``), the
+    high half (``planted-high``) or across both (``planted-across``); the
+    ``e1``, ``alternating`` and ``near-quarter-turn`` walk families; and
+    ``wide`` components of +-m * 2**e with e in [-500, 500], with exactly
+    cancelling pairs x, -x."""
+    h = k // 2
+    amps = random_amplitudes(rng, k)
+    if kind.startswith("planted"):
+        pool = {"planted-low": range(h), "planted-high": range(h, k), "planted-across": range(k)}[kind]
+        if len(pool) >= 2:
+            subset = rng.sample(pool, rng.randint(2, len(pool)))
+            amps[subset[-1]] = -sum(amps[i] for i in subset[:-1])
+    elif kind == "wide":
+        component = lambda: rng.choice((-1, 1)) * math.ldexp(rng.randint(1, 2**20), rng.randint(-500, 500))
+        amps = [complex(component(), component()) for _ in range(k)]
+        for _ in range(k // 3):
+            i, j = rng.sample(range(k), 2)
+            amps[j] = -amps[i]
+    elif kind != "generic":
+        amps = [*_family_scenario(rng, kind, k).amplitudes]
+    return amps
+
+
+_JOIN_FAMILIES = ["generic", "planted-low", "planted-high", "planted-across", "e1", "alternating",
+                  "near-quarter-turn", "wide"]
+
+
+@pytest.mark.parametrize("kind", _JOIN_FAMILIES)
+def test_near_zero_join_keeps_every_subset_the_kernel_could_accept(kind):
+    # The join must hold every mask whose correctly rounded sum has modulus
+    # at most sqrt(bound), the kernel's own test, and, since its window only
+    # skips pairs, exactly the masks whose joined sum L + R passes |L + R| <=
+    # radius, as a test of every pair would find.
+    near_zero, subset_sums = chslit.frameworks._near_zero, chslit.frameworks._subset_sums
+    rng = random.Random(f"join:{kind}")
+    for k in range(1, 13):
+        model = build_experiment(make_scenario(_join_amplitudes(rng, kind, k)))
+        amps = [*model.amplitudes]
+        exact = [abs(_sum_amplitudes(a for j, a in enumerate(amps) if mask >> j & 1)) for mask in range(1 << k)]
+        h = k // 2
+        low, high = subset_sums(amps[:h]), subset_sums(amps[h:])
+        for factor, tolerance in product((1, 2), (0.0, 1e-10, 1e-3, 0.3)):
+            bound = factor * tolerance * (1.0 + 1e-9) / model.scale
+            near = near_zero(amps, bound)
+            assert {mask for mask, m in enumerate(exact) if m <= math.sqrt(bound)} <= near, (k, factor, tolerance)
+            radius = math.sqrt(bound) + chslit.frameworks._slack(amps)
+            pairs = {lo | hi << h for lo, l in enumerate(low) for hi, r in enumerate(high) if abs(l + r) <= radius}
+            assert near == pairs, (k, factor, tolerance)
+
+
+def test_near_zero_join_keeps_a_pair_whose_sum_rounds_onto_the_radius():
+    # With radius 1, the low sum x = 1 - 2**-53 and the high sum y = 3 *
+    # 2**-54 add to 1 + 2**-54, which rounds to 1: the pair passes.  But
+    # -y + 1 rounds down to 1 - 2**-52, below x, so a window that is not
+    # widened for rounding would skip it.
+    amps = [complex(1 - 2**-53), complex(3 * 2**-54)]
+    slack = chslit.frameworks._slack(amps)
+    bound = (1 - slack) ** 2
+    assert math.sqrt(bound) + slack == 1.0
+    assert 0b11 in chslit.frameworks._near_zero(amps, bound)
 
 
 def test_coarsest_partition_always_consistent():
