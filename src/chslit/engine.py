@@ -13,9 +13,12 @@ partition is ``conj(c_H) * c_G`` between detected histories,
 ``delta_GH * |G|/k - conj(c_H) * c_G`` between undetected ones, and exactly
 0 across.  Its diagonal supplies candidate probabilities; a partition whose
 off-diagonal values vanish to tolerance is a consistent set (Griffiths,
-J. Stat. Phys. 36, 219 (1984)).  ``_group_terms`` and ``_decide`` evaluate
-this closed form, and every verdict and probability in the package comes
-from them.
+J. Stat. Phys. 36, 219 (1984)).  ``_group_terms`` evaluates it for one
+group.  A verdict reads only the largest diagonal value and the worst
+detected entry, in medium mode the product of the two largest ``|c_G|``,
+so ``_fold`` adds one group's terms to a small state and ``_settle`` judges
+that state; ``_decide`` folds a partition's groups in order and settles.
+Every verdict and probability in the package comes from these functions.
 """
 
 from __future__ import annotations
@@ -133,38 +136,73 @@ def _group_terms(total: complex, count: int, k: int, scale: float) -> tuple[comp
     return total, modulus, detected, count / k - detected
 
 
-def _decide(
-    terms: Sequence[tuple[complex, float, float, float]], scale: float, mode: str, tolerance: float
-) -> tuple[bool, float, tuple[int, int] | None, float]:
-    """The closed-form decoherence functional of one partition, judged on
-    its groups' :func:`_group_terms`.
+#: The state of a verdict before any group is folded in, by mode; see :func:`_fold`.
+_EMPTY = {MODE_MEDIUM: (0.0, -1.0, -1.0, None, None), MODE_WEAK: (0.0, -1.0, (), None, None)}
+
+
+def _fold(state: tuple, index: int, terms: tuple[complex, float, float, float], mode: str) -> tuple:
+    """The state of a partition's verdict with one more group, numbered
+    ``index``, whose :func:`_group_terms` are ``terms``.
 
     The undetected block mirrors the detected one and the cross block
-    vanishes, so the worst entry is the detected one of the first group pair
-    ``g < h`` maximising ``|conj(c_h) * c_g|`` (medium), the product of the
-    two largest moduli however ties are paired, or its real part (weak).
-    The tolerance is relative to the largest diagonal value, at least
-    ``1/(2n)``.
+    vanishes, so a verdict reads only the largest diagonal value ``d`` and
+    the worst detected entry: ``|conj(c_h) * c_g|`` of the two largest
+    moduli however ties are paired (medium), or the largest real part
+    ``|Re(conj(c_h) * c_g)|`` over the group pairs (weak).  The state is
+    ``(d, x, y, g, h)``: in medium mode the two largest moduli ``x >= y``,
+    of groups ``g`` and ``h``; in weak mode the largest real part ``x``,
+    unscaled, of groups ``g < h``, and in ``y`` each sum so far with its
+    group.  Equal values keep the lowest group numbers, in the order of
+    combinations over the groups, so the state does not depend on the order
+    the groups are folded in.
+    """
+    d, x, y, g, h = state
+    total, modulus, detected, undetected = terms
+    if detected > d:
+        d = detected
+    if undetected > d:
+        d = undetected
+    if mode == MODE_MEDIUM:
+        if modulus > x or modulus == x and index < g:
+            return d, modulus, x, index, g
+        if modulus > y or modulus == y and index < h:
+            return d, x, modulus, g, index
+        return d, x, y, g, h
+    for other, s in y:
+        # The real part of conj(a) * b is that of conj(b) * a, bit for bit.
+        value, pair = abs((total.conjugate() * s).real), (other, index) if other < index else (index, other)
+        if value > x or value == x and pair < (g, h):
+            x, (g, h) = value, pair
+    return d, x, (*y, (index, total)), g, h
+
+
+def _settle(
+    state: tuple, scale: float, tolerance: float, mode: str
+) -> tuple[bool, float, tuple[int, int] | None, float]:
+    """The verdict on a folded state: the worst entry, scaled, against the
+    tolerance relative to the largest diagonal value, at least ``1/(2n)``.
 
     Returns ``(consistent, max_violation, pair, tolerance_used)``; ``pair``
     holds the groups of the worst entry (None for a single group).
     """
-    n = len(terms)
-    tolerance_used = tolerance * max([t[2] for t in terms] + [t[3] for t in terms])
-    pair, violation = None, 0.0
-    if n > 1 and mode == MODE_MEDIUM:
-        # The largest |c_g| * |c_h| pairs the two largest moduli; the stable
-        # sort keeps the first of equal moduli.
-        moduli = [t[1] for t in terms]
-        g, h = sorted(range(n), key=moduli.__getitem__, reverse=True)[:2]
-        pair, violation = (g, h) if g < h else (h, g), moduli[g] * moduli[h] * scale
-    elif n > 1:
-        # max keeps the first of equal pairs, in the order of combinations.
-        sums = [t[0] for t in terms]
-        real = lambda gh: abs((sums[gh[1]].conjugate() * sums[gh[0]]).real)
-        pair = max(itertools.combinations(range(n), 2), key=real)
-        violation = real(pair) * scale
-    return violation <= tolerance_used, violation, pair, tolerance_used
+    d, x, y, g, h = state
+    tolerance_used = tolerance * d
+    if h is None:
+        return True, 0.0, None, tolerance_used
+    violation = (x * y if mode == MODE_MEDIUM else x) * scale
+    return violation <= tolerance_used, violation, (g, h) if g < h else (h, g), tolerance_used
+
+
+def _decide(
+    terms: Sequence[tuple[complex, float, float, float]], scale: float, mode: str, tolerance: float
+) -> tuple[bool, float, tuple[int, int] | None, float]:
+    """The closed-form decoherence functional of one partition, judged on
+    its groups' :func:`_group_terms`: each group folded in, in order, then
+    settled."""
+    state = _EMPTY[mode]
+    for index, group_terms in enumerate(terms):
+        state = _fold(state, index, group_terms, mode)
+    return _settle(state, scale, tolerance, mode)
 
 
 def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) -> str:
@@ -177,12 +215,18 @@ def _entries(group: frozenset[int], terms: tuple[complex, float, float, float]):
     return ((group, DETECTED), terms[2]), ((group, UNDETECTED), terms[3])
 
 
-def _framework(partition: Partition, mode: str, entries: list, verdict) -> Framework:
+def _framework(
+    partition: Partition, mode: str, entries: Iterable, violation: float, tolerance_used: float
+) -> Framework:
     """Wrap a partition the kernel found consistent, given the
     :func:`_entries` of its groups: the table lists every detected entry,
-    then every undetected one, each in group order."""
-    table = dict([e[0] for e in entries] + [e[1] for e in entries])
-    return Framework(partition, mode, table, ConsistencyReport(mode, True, verdict[1], None, verdict[3]))
+    then every undetected one, each in group order.  Neither record type
+    checks its fields (a contract test pins that neither has a ``__new__``
+    of its own), so both are built past namedtuple's Python-level
+    ``__new__``."""
+    new = tuple.__new__
+    report = new(ConsistencyReport, (mode, True, violation, None, tolerance_used))
+    return new(Framework, (partition, mode, dict(itertools.chain(*zip(*entries))), report))
 
 
 def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance: float):

@@ -27,11 +27,13 @@ from .engine import (
     NULL_CONDITION,
     ExperimentModel,
     Framework,
+    _EMPTY,
     _check_mode_and_tolerance,
-    _decide,
     _entries,
+    _fold,
     _framework,
     _group_terms,
+    _settle,
     _verdict,
 )
 from .errors import (
@@ -109,13 +111,13 @@ def history_probabilities(
     """The partition as a framework: its diagonal decoherence values as
     probabilities, keyed by (group, branch), refused with InconsistentSet
     unless the partition passes consistency."""
-    terms, verdict = _verdict(model, partition, mode, tolerance)
-    if not verdict[0]:
+    terms, (consistent, violation, _, tolerance_used) = _verdict(model, partition, mode, tolerance)
+    if not consistent:
         raise InconsistentSet(
             f"partition is not a consistent set in {mode} mode: "
-            f"max violation {verdict[1]:.3e} exceeds tolerance {verdict[3]:.3e}"
+            f"max violation {violation:.3e} exceeds tolerance {tolerance_used:.3e}"
         )
-    return _framework(partition, mode, [*map(_entries, partition.groups, terms)], verdict)
+    return _framework(partition, mode, map(_entries, partition.groups, terms), violation, tolerance_used)
 
 
 build_framework = history_probabilities
@@ -218,6 +220,11 @@ def enumerate_consistent_frameworks(
     group alone, its sum, its two diagonal terms (the probabilities) and
     its table keys, is computed once per group mask, not once per candidate
     it sits in, and each framework is assembled from those pieces.  The
+    verdict is folded along the recursion: each near-zero subset is folded
+    into the engine's state (:func:`~chslit.engine._fold`) when it is
+    placed, the carrier or its split at the leaf, and the leaf settles the
+    state, so a medium-mode candidate is judged in O(1), with the numbers
+    ``check_consistency`` reports for its partition, bit for bit.  The
     cost follows the near-zero subsets and frameworks returned, plus the
     2**(k/2)-entry half tables of :func:`_near_zero`; weak mode adds a
     2**k-entry subset-sum table and 2**(r-1) splits per r-path carrier.
@@ -255,30 +262,37 @@ def enumerate_consistent_frameworks(
 
     found: list[tuple[int, Framework]] = []
 
-    def judge(groups: list[int], key: int) -> None:
-        verdict = _decide([*map(terms_of.__getitem__, groups)], scale, mode, tolerance)
-        if verdict[0]:
+    def judge(groups: list[int], key: int, state: tuple) -> None:
+        consistent, violation, _, tolerance_used = _settle(state, scale, tolerance, mode)
+        if consistent:
             # The groups are disjoint and ordered by lowest position, which
             # orders them by lowest path index too.
             partition = Partition._trusted(tuple(map(group_of.__getitem__, groups)))
-            found.append((key, _framework(partition, mode, [*map(entries_of.__getitem__, groups)], verdict)))
+            entries = map(entries_of.__getitem__, groups)
+            found.append((key, _framework(partition, mode, entries, violation, tolerance_used)))
 
     # The groups placed so far as position masks, by lowest position; the
-    # carrier, at slot ``carrier`` once it is opened, may still grow.
+    # carrier, at slot ``carrier`` once it is opened, may still grow.  Each
+    # group is folded into the verdict's state under the bit of its lowest
+    # position, which numbers the groups in partition order: a near-zero
+    # subset when it is placed, the carrier (or its split) at the leaf.
     slots: list[int] = []
 
-    def extend(rest: int, key: int, carrier: int | None) -> None:
-        """Place the lowest of the unplaced positions ``rest``."""
+    def extend(rest: int, key: int, carrier: int | None, state: tuple) -> None:
+        """Place the lowest of the unplaced positions ``rest``; ``state``
+        has every placed group but the carrier folded in."""
         if not rest:
-            if carrier is None or slots[carrier] not in near:
-                judge(slots, key)  # else built elsewhere, with the carrier as a near-zero subset
+            whole = 0 if carrier is None else slots[carrier]
+            if not whole:
+                judge(slots, key, state)
+            elif whole not in near:  # else built elsewhere, with the carrier as a near-zero subset
+                judge(slots, key, _fold(state, whole & -whole, terms_of[whole], mode))
             # Weak mode splits the carrier into A, which keeps its lowest
             # position, and B, neither near-zero, whose table sums pass
             # |Re(conj(s_B) s_A)| <= bound, widened by the slack of both sums
             # and by 2**-50 |s_A||s_B| for rounding the product.  An empty
             # ``whole`` has no splits.
-            whole = 0 if carrier is None or mode == MODE_MEDIUM else slots[carrier]
-            others = b = whole & (whole - 1)
+            others = b = 0 if mode == MODE_MEDIUM else whole & (whole - 1)
             while b:
                 a = whole ^ b
                 if not (a in near or b in near):
@@ -286,7 +300,8 @@ def enumerate_consistent_frameworks(
                     dot = sums[a].real * sums[b].real + sums[a].imag * sums[b].imag
                     if abs(dot) <= bound + slack * (m_a + m_b + slack) + 2.0**-50 * m_a * m_b:
                         groups = sorted([*slots[:carrier], a, b, *slots[carrier + 1 :]], key=lambda m: m & -m)
-                        judge(groups, sum(g * weights[j] for g, m in enumerate(groups) for j in range(k) if m >> j & 1))
+                        key_ab = sum(g * weights[j] for g, m in enumerate(groups) for j in range(k) if m >> j & 1)
+                        judge(groups, key_ab, _fold(_fold(state, a & -a, terms_of[a], mode), b & -b, terms_of[b], mode))
                 b = (b - 1) & others
             return
         low = rest & -rest
@@ -294,19 +309,19 @@ def enumerate_consistent_frameworks(
         n = len(slots)
         if carrier is None:
             slots.append(low)
-            extend(rest ^ low, key + n * weights[j], n)
+            extend(rest ^ low, key + n * weights[j], n, state)
             slots.pop()
         else:
             slots[carrier] |= low
-            extend(rest ^ low, key + carrier * weights[j], carrier)
+            extend(rest ^ low, key + carrier * weights[j], carrier, state)
             slots[carrier] ^= low
         for subset, weight in starts[j]:
             if subset & rest == subset:
                 slots.append(subset)
-                extend(rest ^ subset, key + n * weight, carrier)
+                extend(rest ^ subset, key + n * weight, carrier, _fold(state, low, terms_of[subset], mode))
                 slots.pop()
 
-    extend((1 << k) - 1, 0, None)
+    extend((1 << k) - 1, 0, None, _EMPTY[mode])
     del extend  # it refers to itself: free the tables now, not at the next cycle collection
     return [framework for _, framework in sorted(found, key=lambda item: item[0])]
 

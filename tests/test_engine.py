@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from chslit import (
     history_set_for_partition,
     parse_partition,
 )
+from chslit.engine import _EMPTY, _decide, _fold, _group_terms, _settle
 from chslit.reference import detector_direction
 from conftest import make_scenario, random_partition, random_scenario
 from chslit import enumerate_consistent_frameworks, find_contradictions, format_partition
@@ -339,14 +340,37 @@ def test_finest_partition_fails_weak_mode():
         ((2, 2, 2), "medium", ("S1", "S2")),
         ((2, 2, 2), "weak", ("S1", "S2")),
         ((1, 2, -2), "weak", ("S2", "S3")),
+        ((3, 1, 1, 1), "medium", ("S1", "S2")),
+        ((1, 3, 1, 3), "medium", ("S2", "S4")),
+        ((0, 0, 1, 1), "medium", ("S3", "S4")),
+        # Pairs (S1, S4) and (S2, S3) tie.  Taken by their second group, S2, S3
+        # comes first; in the order of combinations, S1, S4 does.
+        ((1, 1j, 1j, 1), "weak", ("S1", "S4")),
     ],
 )
 def test_the_first_of_equal_worst_pairs_is_reported(amplitudes, mode, pair):
     # With equal moduli, the report names the first group pair, in the order
     # of combinations over the groups, that reaches the largest violation.
-    report = check_consistency(build_experiment(make_scenario(amplitudes)), FINEST, mode=mode)
+    finest = parse_partition("|".join(map(str, range(1, len(amplitudes) + 1))), len(amplitudes))
+    report = check_consistency(build_experiment(make_scenario(amplitudes)), finest, mode=mode)
     assert not report.consistent
     assert report.offending_pair == tuple(f"{{{label}}} then detected" for label in pair)
+
+
+@pytest.mark.parametrize("amplitudes", [(3, 1, 1, 1), (1, 3, 1, 3), (0, 0, 1, 1), (1, 1j, 1j, 1), (2, -1, 1j, -2j)])
+def test_the_folded_verdict_does_not_depend_on_the_order_of_the_groups(amplitudes):
+    # The enumeration folds groups in the order it places them, not in
+    # partition order; every order must settle to the in-order verdict.
+    model = build_experiment(make_scenario(amplitudes))
+    k = len(amplitudes)
+    terms = [_group_terms(a, 1, k, model.scale) for a in model.amplitudes]
+    for mode in ("medium", "weak"):
+        want = _decide(terms, model.scale, mode, 0.0)
+        for order in permutations(range(k)):
+            state = _EMPTY[mode]
+            for index in order:
+                state = _fold(state, index, terms[index], mode)
+            assert _settle(state, model.scale, 0.0, mode) == want, (mode, order)
 
 
 def test_medium_consistency_implies_weak():

@@ -13,7 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 import chslit.frameworks
 from chslit import (
     ConditionUnsatisfied,
+    ConsistencyReport,
     ContradictionRecord,
+    Framework,
     InconsistentSet,
     MeaninglessCombination,
     NotInFramework,
@@ -252,15 +254,17 @@ def test_weak_enumeration_keeps_three_small_groups_sixty_degrees_apart():
 
 
 def test_generic_enumeration_makes_at_most_k_kernel_calls(monkeypatch):
-    # The walk over all partitions made Bell(12) = 4,213,597 calls here.
+    # The walk over all partitions made Bell(12) = 4,213,597 calls here.  A
+    # candidate is judged by settling the verdict folded along the search,
+    # so the calls counted are those of the settle step.
     calls = []
-    decide = chslit.frameworks._decide
+    settle = chslit.frameworks._settle
 
     def counting(*args):
         calls.append(args)
-        return decide(*args)
+        return settle(*args)
 
-    monkeypatch.setattr(chslit.frameworks, "_decide", counting)
+    monkeypatch.setattr(chslit.frameworks, "_settle", counting)
     model = build_experiment(random_scenario(random.Random(12), n=12, kind="generic"))
     # Weak mode once judged every split into two groups: 2**11 = 2,048 calls.
     for mode in ("medium", "weak"):
@@ -283,6 +287,44 @@ def test_generic_enumeration_makes_at_most_k_kernel_calls(monkeypatch):
         frameworks = enumerate_consistent_frameworks(build_experiment(make_scenario(amps)), max_paths=22)
         assert [f.partition for f in frameworks] == want
         assert 1 <= len(calls) <= 22
+    # One nonzero amplitude among 7 paths: every partition is a candidate,
+    # judged once, and every one is a framework.
+    calls.clear()
+    frameworks = enumerate_consistent_frameworks(build_experiment(make_scenario([0, 0, 1, 0, 0, 0, 0])))
+    assert len(calls) == len(frameworks) == BELL[6] == 877
+
+
+@pytest.mark.parametrize("kind", ["e1", "two-nonzero"])
+def test_each_enumerated_report_equals_the_check_of_its_partition(kind):
+    # The enumeration judges a verdict folded along its search; checking the
+    # partition on its own must give the same numbers, bit for bit.  These
+    # are the census-dense families at 8 paths, past the walk's sizes.
+    model = build_experiment(_family_scenario(random.Random(f"reports:{kind}"), kind, 8))
+    for mode in ("medium", "weak"):
+        for tolerance in (0.0, 1e-10, 1e-3):
+            frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance)
+            assert len(frameworks) >= BELL[6], (mode, tolerance)
+            for framework in frameworks:
+                got, want = framework.report, check_consistency(model, framework.partition, mode, tolerance)
+                assert (got.mode, got.consistent, got.offending_pair) == (mode, True, None)
+                assert want.consistent and want.offending_pair is None
+                assert got.max_violation.hex() == want.max_violation.hex(), framework.partition
+                assert got.tolerance_used.hex() == want.tolerance_used.hex(), framework.partition
+
+
+def test_frameworks_and_reports_have_no_constructor_for_the_search_to_skip():
+    # The enumeration builds both with tuple.__new__, past namedtuple's
+    # __new__, so neither type may have a constructor of its own to skip.
+    for kind in (Framework, ConsistencyReport):
+        assert "__new__" not in vars(kind) and not issubclass(kind, chslit.core._Checked)
+    model = build_experiment(make_scenario([1, -1, 1]))
+    for framework in enumerate_consistent_frameworks(model):
+        for record, kind in ((framework, Framework), (framework.report, ConsistencyReport)):
+            assert type(record) is kind and not hasattr(record, "__dict__")
+            assert record == record and record != kind(*record) and hash(record) == object.__hash__(record)
+            assert repr(kind(*record)) == repr(record)
+        replaced = framework._replace(mode="weak")
+        assert type(replaced) is Framework and tuple(replaced) == (framework.partition, "weak", *framework[2:])
 
 
 def _join_amplitudes(rng: random.Random, kind: str, k: int) -> list[complex]:

@@ -140,6 +140,43 @@ def test_load_schema_errors_carry_field_paths(mutate, field_path):
     assert excinfo.value.field_path == field_path
 
 
+def _with_parts(d, parts):
+    d["slits"][0].update(amplitude={"re": 1.0, "im": 0.0}, parts=parts)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: [d], "$: expected a JSON object"),
+        (lambda d: d["slits"].insert(1, "S9"), "slits[1]: expected an object"),
+        (lambda d: _with_parts(d, []), "slits[0].parts: must not be empty when present"),
+        (
+            lambda d: _with_parts(d, [{"label": "a", "amplitude": {"re": 1.0, "im": 0.0}}, 7]),
+            "slits[0].parts[1]: expected an object",
+        ),
+        (
+            lambda d: _with_parts(d, [{"label": "a", "amplitude": {"re": 0.5, "im": 0.0}}] * 2),
+            "slits[0].parts[1].label: duplicate part label 'a'",
+        ),
+        (lambda d: d.update(metadata=["seed", "1"]), "metadata: expected an object"),
+    ],
+)
+def test_every_schema_branch_is_one_error_line_through_the_cli(mutate, message, tmp_path, capsys):
+    from chslit.cli import main
+
+    # Each mutation edits the document in place, or returns one to replace it.
+    doc = json.loads(THREE_SLIT_DOC)
+    text = json.dumps(mutate(doc) or doc)
+    with pytest.raises(SchemaError) as excinfo:
+        load_scenario(text)
+    assert str(excinfo.value) == message and excinfo.value.field_path == message.split(": ")[0]
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["frameworks", "--file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"chslit: error: {message}\n"
+
+
 def test_load_rejects_a_boolean_version():
     # JSON true loads as Python True, and True == 1.
     doc = json.loads(THREE_SLIT_DOC)
