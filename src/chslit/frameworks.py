@@ -46,7 +46,7 @@ from .errors import (
 
 #: Default cap on open-path count for enumeration: a guard, not a cost
 #: model.  An input with few nonzero amplitudes has up to Bell(k)
-#: frameworks (Bell(12) = 4,213,597), and weak mode keeps 2**k subset sums.
+#: frameworks (Bell(12) = 4,213,597).
 DEFAULT_MAX_PATHS = 12
 
 #: An event this close to probability one counts as certain in a record.
@@ -147,28 +147,21 @@ def _subset_sums(amplitudes: list[complex]) -> list[complex]:
     return sums
 
 
-def _slack(amplitudes: list[complex]) -> float:
-    """A bound on how far a sum of some of the amplitudes, added in at most
-    ``k - 1`` float additions, lies from the exact sum.  A complex addition
-    rounds each component, so it is off by at most 2**-53 of its result, a
-    partial sum of modulus at most ``sum |a|``; the factor 2 left over covers
-    the rounding of that bound."""
-    return len(amplitudes) * 2.0**-52 * math.fsum(map(abs, amplitudes))
-
-
-def _near_zero(amplitudes: list[complex], bound: float) -> set[int]:
-    """The bit masks of the positions whose amplitudes may sum to a modulus
-    of at most ``sqrt(bound)``: every mask whose exact sum does, the empty
-    one included, and possibly a few more.
+def _near_zero(amplitudes: list[complex], bound: float) -> tuple[set[int], Callable[[int], complex], float]:
+    """``(near, sum_of, slack)``: the bit masks of the positions whose
+    amplitudes may sum to a modulus of at most ``sqrt(bound)`` (every mask
+    whose exact sum does, the empty one included, and possibly a few more),
+    and a float sum ``sum_of(mask)`` of any mask, off its exact sum by less
+    than ``slack``.
 
     A meet in the middle (Horowitz and Sahni, JACM 21, 277 (1974)): the
     subset sums ``L`` of the low ``h = k // 2`` positions and ``R`` of the
-    others are tabulated, and mask ``lo | hi << h`` is kept when
-    ``|L + R| <= radius``.  Both half sums are added left to right and
-    ``L + R`` adds once more: at most ``k - 1`` additions, so it is off the
-    exact sum by at most ``(k - 1) 2**-53 sum |a|``, below :func:`_slack`,
-    and ``radius = sqrt(bound) + slack`` keeps every mask the kernel could
-    judge near-zero.
+    others are tabulated, and mask ``lo | hi << h`` sums to ``L + R``: at
+    most ``k - 1`` additions, each rounding both components by at most
+    2**-53 of a partial sum of modulus at most ``sum |a|``.  So ``slack = k
+    2**-52 sum |a|`` bounds the error, with a factor 2 to spare for rounding
+    itself, and a mask is kept when ``|L + R| <= radius = sqrt(bound) +
+    slack``, as is every mask the kernel could judge near-zero.
 
     Only pairs whose sort components nearly cancel are tested.  The low sums
     are sorted by one component ``x`` (the real part, or the imaginary part
@@ -182,7 +175,7 @@ def _near_zero(amplitudes: list[complex], bound: float) -> set[int]:
     one test per pair in a window, never more than the 2**k of a full table.
     """
     h = len(amplitudes) // 2
-    slack = _slack(amplitudes)
+    slack = len(amplitudes) * 2.0**-52 * math.fsum(map(abs, amplitudes))
     radius = math.sqrt(bound) + slack
     window = radius * (1.0 + 2.0**-50) + slack
     real, imag = operator.attrgetter("real"), operator.attrgetter("imag")
@@ -190,14 +183,14 @@ def _near_zero(amplitudes: list[complex], bound: float) -> set[int]:
     low, high = _subset_sums(amplitudes[:h]), _subset_sums(amplitudes[h:])
     order = sorted(range(len(low)), key=[*map(part, low)].__getitem__)
     keys = [part(low[lo]) for lo in order]
-    targets = [-y for y in map(part, high)]
-    first = [*map(bisect_left, itertools.repeat(keys), [y - window for y in targets])]
-    last = [*map(bisect_right, itertools.repeat(keys), [y + window for y in targets])]
+    first = [*map(bisect_left, itertools.repeat(keys), [-y - window for y in map(part, high)])]
+    last = [*map(bisect_right, itertools.repeat(keys), [-y + window for y in map(part, high)])]
     near = set()
     for hi in itertools.compress(range(len(high)), map(operator.lt, first, last)):
         r, top = high[hi], hi << h
         near.update(top | lo for lo in order[first[hi] : last[hi]] if abs(low[lo] + r) <= radius)
-    return near
+    below = len(low) - 1
+    return near, lambda mask: low[mask & below] + high[mask >> h], slack
 
 
 def enumerate_consistent_frameworks(
@@ -226,8 +219,9 @@ def enumerate_consistent_frameworks(
     state, so a medium-mode candidate is judged in O(1), with the numbers
     ``check_consistency`` reports for its partition, bit for bit.  The
     cost follows the near-zero subsets and frameworks returned, plus the
-    2**(k/2)-entry half tables of :func:`_near_zero`; weak mode adds a
-    2**k-entry subset-sum table and 2**(r-1) splits per r-path carrier.
+    2**(k/2)-entry half tables of :func:`_near_zero`, in both modes; weak
+    mode adds 2**(r-1) splits per r-path carrier, each screened on the sums
+    those half tables give.
     """
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     open_indices = model.scenario.open_indices
@@ -237,28 +231,27 @@ def enumerate_consistent_frameworks(
     scale = model.scale
     amplitudes = [model.amplitudes[i] for i in open_indices]
     # The near-zero subsets as bit masks of open positions.  Their sums, and
-    # in weak mode the table sums[S] of every subset S, are off the exact
+    # in weak mode the sums ``sum_of`` gives any subset, are off the exact
     # sums by less than ``slack``, so the screens widen their bounds by that
     # much (and ``bound`` by a factor for the kernel's own rounding).  Passing
     # too many candidates only costs kernel calls: the kernel decides on the
     # correctly rounded sums in ``terms_of``.
     bound = (1 if mode == MODE_MEDIUM else 2) * tolerance * (1.0 + 1e-9) / scale
-    near = _near_zero(amplitudes, bound)
-    if mode != MODE_MEDIUM:
-        sums, slack = _subset_sums(amplitudes), _slack(amplitudes)
+    near, sum_of, slack = _near_zero(amplitudes, bound)
     # A partition's restricted growth string, read as a base-k number, sorts
     # the frameworks; a group at slot g adds g times its weight, the sum of
     # its positions' weights.  starts[j] lists each near-zero subset whose
-    # lowest position is j, with its weight.
+    # lowest position is j, with its weight.  Per group mask: its weight,
+    # the kernel's terms, the group and its table entries.
     weights = [k ** (k - 1 - j) for j in range(k)]
-    # Per group mask: the kernel's terms, the group and its table entries.
+    weight_of = _Memo(lambda mask: sum(weights[j] for j in range(k) if mask >> j & 1))
     exact = lambda mask: _sum_amplitudes(amplitudes[j] for j in range(k) if mask >> j & 1)
     terms_of = _Memo(lambda mask: _group_terms(exact(mask), mask.bit_count(), k, scale))
     group_of = _Memo(lambda mask: frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1))
     entries_of = _Memo(lambda mask: _entries(group_of[mask], terms_of[mask]))
     starts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for mask in sorted(near - {0}):
-        starts[(mask & -mask).bit_length() - 1].append((mask, sum(weights[j] for j in range(k) if mask >> j & 1)))
+        starts[(mask & -mask).bit_length() - 1].append((mask, weight_of[mask]))
 
     found: list[tuple[int, Framework]] = []
 
@@ -288,19 +281,25 @@ def enumerate_consistent_frameworks(
             elif whole not in near:  # else built elsewhere, with the carrier as a near-zero subset
                 judge(slots, key, _fold(state, whole & -whole, terms_of[whole], mode))
             # Weak mode splits the carrier into A, which keeps its lowest
-            # position, and B, neither near-zero, whose table sums pass
+            # position, and B, neither near-zero, whose float sums pass
             # |Re(conj(s_B) s_A)| <= bound, widened by the slack of both sums
-            # and by 2**-50 |s_A||s_B| for rounding the product.  An empty
-            # ``whole`` has no splits.
+            # and by 2**-50 |s_A||s_B| for rounding the product.  s_B is
+            # ``sum_of(b)`` and s_A = w - s_B, with w the carrier's correctly
+            # rounded sum, so s_A is off by at most 2**-53 (|w| + |s_A|) plus
+            # the error of s_B, (k + 1) 2**-53 sum |a| in all, within the
+            # slack.  An empty ``whole`` has no splits.
             others = b = 0 if mode == MODE_MEDIUM else whole & (whole - 1)
+            w = terms_of[whole][0] if b else 0j
             while b:
                 a = whole ^ b
                 if not (a in near or b in near):
-                    m_a, m_b = abs(sums[a]), abs(sums[b])
-                    dot = sums[a].real * sums[b].real + sums[a].imag * sums[b].imag
+                    s_b = sum_of(b)
+                    s_a = w - s_b
+                    m_a, m_b = abs(s_a), abs(s_b)
+                    dot = s_a.real * s_b.real + s_a.imag * s_b.imag
                     if abs(dot) <= bound + slack * (m_a + m_b + slack) + 2.0**-50 * m_a * m_b:
                         groups = sorted([*slots[:carrier], a, b, *slots[carrier + 1 :]], key=lambda m: m & -m)
-                        key_ab = sum(g * weights[j] for g, m in enumerate(groups) for j in range(k) if m >> j & 1)
+                        key_ab = sum(g * weight_of[m] for g, m in enumerate(groups))
                         judge(groups, key_ab, _fold(_fold(state, a & -a, terms_of[a], mode), b & -b, terms_of[b], mode))
                 b = (b - 1) & others
             return
@@ -481,11 +480,13 @@ def find_contradictions(
     :func:`_clash_kinds` are visited, so the cost follows the pairs that can
     clash, not all pairs.  A framework's events are tabulated when it first
     sits in a visited pair; clashes are tested on path masks, and each
-    event set is built once per mask.  Each event list also has a floor, the
-    AND of its masks: the paths in every certain event, or outside every
-    null event.  A certain event that meets the other list's floor meets
-    every mask in it, so it is dropped before its inner loop, and the tests
-    made follow the certain events that clash.
+    event set is built once per mask.  The key also gives each event list
+    its floor, the AND of its masks: ``core`` is exactly the paths in every
+    certain event, since for a group G outside it "every group but G" is
+    certain, and ``~span`` exactly the paths outside every null event, since
+    each group inside it is a null event.  A certain event that meets the
+    other list's floor meets every mask in it, so it is dropped before its
+    inner loop, and the tests made follow the certain events that clash.
     """
     frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance, max_paths=max_paths)
     mask_of = functools.cache(lambda group: sum(1 << i for i in group))
@@ -509,22 +510,23 @@ def find_contradictions(
     pairs.sort()
 
     event = functools.cache(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
-    # Each event list with its floor: the AND of its masks, -1 when empty.
-    floored = lambda es: (es, functools.reduce(operator.and_, [m for m, _, _ in es], -1))
-    events = functools.cache(lambda i: [*map(floored, _clash_events(judged[i][1], event))])
+    events = functools.cache(lambda i: _clash_events(judged[i][1], event))
     # ContradictionRecord checks nothing (its contract test pins that it has
     # no __new__ of its own): this only skips namedtuple's Python-level __new__.
     new = tuple.__new__
     records: list[ContradictionRecord] = []
     for i, j, kinds in pairs:
-        (fa, _), (fb, _) = judged[i], judged[j]
+        (fa, summary_a), (fb, summary_b) = judged[i], judged[j]
         (certain_a, null_a), (certain_b, null_b) = events(i), events(j)
+        # Each job's floor, the AND of the other list's masks, is read off the
+        # other framework's (core, span): core for its certain events, ~span
+        # for the complemented masks of its null events.
         jobs = (
-            ("disjoint-certainty", fa, fb, certain_a, certain_b),
-            ("implication-violation", fa, fb, certain_a, null_b),
-            ("implication-violation", fb, fa, certain_b, null_a),
+            ("disjoint-certainty", fa, fb, certain_a, certain_b, summary_b[0]),
+            ("implication-violation", fa, fb, certain_a, null_b, ~summary_b[1]),
+            ("implication-violation", fb, fa, certain_b, null_a, ~summary_a[1]),
         )
-        for kind, f1, f2, (certain, _), (other, floor) in itertools.compress(jobs, kinds):
+        for kind, f1, f2, certain, other, floor in itertools.compress(jobs, kinds):
             records += [
                 new(ContradictionRecord, (kind, f1, f2, ea, eb, pa, pb))
                 for ma, ea, pa in certain

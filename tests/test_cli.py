@@ -762,7 +762,7 @@ def test_output_is_the_same_on_every_python_version(tmp_path):
     src = str(Path(chslit.__file__).resolve().parents[1])
 
     def outputs(python: str) -> list:
-        proc = subprocess.run([python, "-I", "-c", _CLI_CHILD, src], input=json.dumps(argvs),
+        proc = subprocess.run([python, "-I", "-B", "-c", _CLI_CHILD, src], input=json.dumps(argvs),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)

@@ -77,15 +77,23 @@ def test_a_cancelling_group_is_judged_on_its_exact_sum():
 
 
 def test_a_weak_split_orthogonal_only_on_exact_sums_is_kept_at_zero_tolerance():
-    # Left to right, group {1,2,3} sums to 1 - (1 + 2**-52)i; exactly, to
-    # (1 + 2**-52)(1 - i), whose real product with group {4} = 1 + i is 0.
-    # The subset table screens the split, so its slack must let it through.
-    amplitudes = [1 - (1 + 2**-52) * 1j, 2**-53, 2**-53, 1 + 1j]
-    model = build_experiment(make_scenario(amplitudes))
-    split = parse_partition("1,2,3|4", 4)
-    assert check_consistency(model, split, mode="weak", tolerance=0.0).consistent
-    frameworks = enumerate_consistent_frameworks(model, mode="weak", tolerance=0.0)
-    assert split in [f.partition for f in frameworks]
+    # The split screen reads float sums, so its bound must let through
+    # splits orthogonal only on exact sums.  First: in floats, group {1,2,3}
+    # sums to 1 - (1 + 2**-52)i; exactly, to (1 + 2**-52)(1 - i), whose real
+    # product with group {4} = 1 + i is 0; the rounding of the product
+    # covers the gap.  Second: 2**53 + 1 rounds to 2**53, so the half
+    # tables sum group {2,3,4} to 2**20 (1 + i), exactly 2**20 + 1 + 2**20 i,
+    # orthogonal to group {1}.  The real product of the float sums is
+    # -2**20, and only the slack of both sums lets the split through.
+    for amplitudes, split in (
+        ([1 - (1 + 2**-52) * 1j, 2**-53, 2**-53, 1 + 1j], "1,2,3|4"),
+        ([2**21 - (2**21 + 2) * 1j, -(2**53) + 2**20 + 2**20 * 1j, 2**53, 1], "1|2,3,4"),
+    ):
+        model = build_experiment(make_scenario(amplitudes))
+        split = parse_partition(split, 4)
+        assert check_consistency(model, split, mode="weak", tolerance=0.0).consistent
+        frameworks = enumerate_consistent_frameworks(model, mode="weak", tolerance=0.0)
+        assert split in [f.partition for f in frameworks], amplitudes
 
 
 def test_listing_the_cancelling_slits_in_another_order_changes_no_bit():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import random
 from itertools import islice, product
 
@@ -361,34 +363,54 @@ def test_near_zero_join_keeps_every_subset_the_kernel_could_accept(kind):
     # The join must hold every mask whose correctly rounded sum has modulus
     # at most sqrt(bound), the kernel's own test, and, since its window only
     # skips pairs, exactly the masks whose joined sum L + R passes |L + R| <=
-    # radius, as a test of every pair would find.
+    # radius, as a test of every pair would find.  The sum it hands back for
+    # any mask is that L + R, within its slack of the correctly rounded sum.
     near_zero, subset_sums = chslit.frameworks._near_zero, chslit.frameworks._subset_sums
     rng = random.Random(f"join:{kind}")
     for k in range(1, 13):
         model = build_experiment(make_scenario(_join_amplitudes(rng, kind, k)))
         amps = [*model.amplitudes]
-        exact = [abs(_sum_amplitudes(a for j, a in enumerate(amps) if mask >> j & 1)) for mask in range(1 << k)]
+        exact = [_sum_amplitudes(a for j, a in enumerate(amps) if mask >> j & 1) for mask in range(1 << k)]
         h = k // 2
         low, high = subset_sums(amps[:h]), subset_sums(amps[h:])
         for factor, tolerance in product((1, 2), (0.0, 1e-10, 1e-3, 0.3)):
             bound = factor * tolerance * (1.0 + 1e-9) / model.scale
-            near = near_zero(amps, bound)
-            assert {mask for mask, m in enumerate(exact) if m <= math.sqrt(bound)} <= near, (k, factor, tolerance)
-            radius = math.sqrt(bound) + chslit.frameworks._slack(amps)
+            near, sum_of, slack = near_zero(amps, bound)
+            assert {mask for mask, s in enumerate(exact) if abs(s) <= math.sqrt(bound)} <= near, (k, factor, tolerance)
+            radius = math.sqrt(bound) + slack
             pairs = {lo | hi << h for lo, l in enumerate(low) for hi, r in enumerate(high) if abs(l + r) <= radius}
             assert near == pairs, (k, factor, tolerance)
+        for lo, hi in product(range(len(low)), range(len(high))):
+            joined = sum_of(lo | hi << h)
+            assert joined == low[lo] + high[hi] and abs(joined - exact[lo | hi << h]) <= slack, (k, lo, hi)
 
 
 def test_near_zero_join_keeps_a_pair_whose_sum_rounds_onto_the_radius():
     # With radius 1, the low sum x = 1 - 2**-53 and the high sum y = 3 *
     # 2**-54 add to 1 + 2**-54, which rounds to 1: the pair passes.  But
     # -y + 1 rounds down to 1 - 2**-52, below x, so a window that is not
-    # widened for rounding would skip it.
+    # widened for rounding would skip it.  The slack does not depend on the
+    # bound.
     amps = [complex(1 - 2**-53), complex(3 * 2**-54)]
-    slack = chslit.frameworks._slack(amps)
+    _, _, slack = chslit.frameworks._near_zero(amps, 0.0)
     bound = (1 - slack) ** 2
     assert math.sqrt(bound) + slack == 1.0
-    assert 0b11 in chslit.frameworks._near_zero(amps, bound)
+    near, sum_of, _ = chslit.frameworks._near_zero(amps, bound)
+    assert 0b11 in near and sum_of(0b11) == 1.0
+
+
+def test_no_table_of_every_subset_sum_is_built(monkeypatch):
+    # Both modes tabulate only the two halves of the meet in the middle; the
+    # weak split screen reads its sums from them, not from a 2**k table.
+    lengths = []
+    subset_sums = chslit.frameworks._subset_sums
+    monkeypatch.setattr(chslit.frameworks, "_subset_sums", lambda amps: lengths.append(len(amps)) or subset_sums(amps))
+    for k in (12, 16):
+        model = build_experiment(make_scenario(random_amplitudes(random.Random(f"halves:{k}"), k)))
+        for mode in ("medium", "weak"):
+            lengths.clear()
+            assert len(enumerate_consistent_frameworks(model, mode=mode, max_paths=k)) == 1
+            assert lengths and max(lengths) <= k - k // 2, (k, mode, lengths)
 
 
 def test_coarsest_partition_always_consistent():
@@ -661,13 +683,13 @@ def _record_fields(record):
     )
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [
-        "generic", "planted", "mixed-open", "e1", "two-nonzero",
-        "alternating", "zero-pair", "quarter-turn", "near-alternating",
-    ],
-)
+_CLASH_FAMILIES = [
+    "generic", "planted", "mixed-open", "e1", "two-nonzero",
+    "alternating", "zero-pair", "quarter-turn", "near-alternating",
+]
+
+
+@pytest.mark.parametrize("kind", _CLASH_FAMILIES)
 def test_contradictions_equal_the_all_pairs_search(kind):
     # Same records in the same order, probabilities bit for bit.
     rng = random.Random(f"clash:{kind}")
@@ -726,6 +748,35 @@ def test_contradictions_equal_the_all_pairs_search_on_seven_paths(kind):
                 for r in brute_contradictions(model, mode, tolerance)
             ]
             assert bool(got) == has_records and got == want, (kind, mode, tolerance)
+
+
+@pytest.mark.parametrize("kind", _CLASH_FAMILIES)
+def test_clash_floors_are_the_bucket_key(kind):
+    # The search screens each certain event by the AND of the other list's
+    # masks and reads that AND off the (core, span) key: certain events are
+    # closed upward and null events downward, so the AND of the certain
+    # masks is core and the AND of the complemented null masks is ~span.
+    clash_summary, clash_events = chslit.frameworks._clash_summary, chslit.frameworks._clash_events
+    mask_of = lambda group: sum(1 << i for i in group)
+    event = lambda mask: mask
+    models = [build_experiment(_family_scenario(random.Random(f"clash:{kind}"), kind, n)) for n in range(1, 7)]
+    runs = [(model, mode, tolerance) for model in models
+            for mode, tolerance in product(("medium", "weak"), (0.0, 1e-10, 1e-3, 0.3))]
+    if kind in _SEVEN_PATH_RUNS:
+        model = build_experiment(_family_scenario(random.Random(f"clash-7:{kind}"), kind, 7))
+        runs += [(model, mode, tolerance) for mode, tolerance in product(("medium", "weak"), _SEVEN_PATH_RUNS[kind])]
+    checked = 0
+    for model, mode, tolerance in runs:
+        for framework in enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance):
+            summary = clash_summary(framework, mask_of)
+            if summary is None:
+                continue
+            core, span = summary[:2]
+            certain, null = clash_events(summary, event)
+            assert functools.reduce(operator.and_, [m for m, _, _ in certain]) == core, (mode, tolerance)
+            assert functools.reduce(operator.and_, [m for m, _, _ in null], -1) == ~span, (mode, tolerance)
+            checked += 1
+    assert checked
 
 
 def test_single_nonzero_contradiction_search_visits_no_framework_pair(monkeypatch):
