@@ -23,7 +23,14 @@ from .core import (
     format_scenario_partition,
     parse_scenario_partition,
 )
-from .engine import DEFAULT_TOLERANCE, MODE_MEDIUM, MODES, build_experiment, check_consistency
+from .engine import (
+    DEFAULT_TOLERANCE,
+    MODE_MEDIUM,
+    MODES,
+    _check_mode_and_tolerance,
+    build_experiment,
+    check_consistency,
+)
 from .errors import (
     BadIndex,
     ChslitError,
@@ -100,13 +107,11 @@ def _namers(scenario: SlitScenario) -> tuple[Callable, Callable]:
 
 
 def _tolerance(text: str) -> float:
+    # The engine owns the rule; unparsable text gets the out-of-range message.
     try:
-        value = float(text)
+        return _check_mode_and_tolerance(MODE_MEDIUM, float(text))
     except ValueError:
-        value = math.nan  # rejected below, with the out-of-range message
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
-    return abs(value)  # -0 passes the test above; report it as 0
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}") from None
 
 
 def _path_cap(text: str) -> int:

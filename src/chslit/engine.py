@@ -16,9 +16,11 @@ off-diagonal values vanish to tolerance is a consistent set (Griffiths,
 J. Stat. Phys. 36, 219 (1984)).  ``_group_terms`` evaluates it for one
 group.  A verdict reads only the largest diagonal value and the worst
 detected entry, in medium mode the product of the two largest ``|c_G|``,
-so ``_fold`` adds one group's terms to a small state and ``_settle`` judges
-that state; ``_decide`` folds a partition's groups in order and settles.
-Every verdict and probability in the package comes from these functions.
+so ``_fold`` adds one group's terms to a state of three values, in any
+order, and ``_settle`` judges that state.  The state numbers no group:
+``check_consistency`` alone names the offending pair, from the groups'
+terms, when its verdict is inconsistent.  Every verdict and probability in
+the package comes from these functions.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import cached_property
 
 from .core import Partition, SlitScenario, _check_covers_open, _Entity, _open_members, _sum_amplitudes
@@ -137,72 +139,52 @@ def _group_terms(total: complex, count: int, k: int, scale: float) -> tuple[comp
 
 
 #: The state of a verdict before any group is folded in, by mode; see :func:`_fold`.
-_EMPTY = {MODE_MEDIUM: (0.0, -1.0, -1.0, None, None), MODE_WEAK: (0.0, -1.0, (), None, None)}
+_EMPTY = {MODE_MEDIUM: (0.0, 0.0, 0.0), MODE_WEAK: (0.0, 0.0, ())}
 
 
-def _fold(state: tuple, index: int, terms: tuple[complex, float, float, float], mode: str) -> tuple:
-    """The state of a partition's verdict with one more group, numbered
-    ``index``, whose :func:`_group_terms` are ``terms``.
+def _fold(state: tuple, terms: tuple[complex, float, float, float], mode: str) -> tuple:
+    """The state of a partition's verdict with one more group, whose
+    :func:`_group_terms` are ``terms``.
 
     The undetected block mirrors the detected one and the cross block
     vanishes, so a verdict reads only the largest diagonal value ``d`` and
     the worst detected entry: ``|conj(c_h) * c_g|`` of the two largest
-    moduli however ties are paired (medium), or the largest real part
-    ``|Re(conj(c_h) * c_g)|`` over the group pairs (weak).  The state is
-    ``(d, x, y, g, h)``: in medium mode the two largest moduli ``x >= y``,
-    of groups ``g`` and ``h``; in weak mode the largest real part ``x``,
-    unscaled, of groups ``g < h``, and in ``y`` each sum so far with its
-    group.  Equal values keep the lowest group numbers, in the order of
-    combinations over the groups, so the state does not depend on the order
-    the groups are folded in.
+    moduli (medium), or the largest real part ``|Re(conj(c_h) * c_g)|``
+    over the group pairs (weak).  The state is ``(d, x, y)``: in medium mode
+    the two largest moduli ``x >= y``; in weak mode the largest real part
+    ``x``, unscaled, and in ``y`` each sum so far.  It holds values only, no
+    group numbers, so it does not depend on the order the groups are folded
+    in.
     """
-    d, x, y, g, h = state
+    d, x, y = state
     total, modulus, detected, undetected = terms
     if detected > d:
         d = detected
     if undetected > d:
         d = undetected
     if mode == MODE_MEDIUM:
-        if modulus > x or modulus == x and index < g:
-            return d, modulus, x, index, g
-        if modulus > y or modulus == y and index < h:
-            return d, x, modulus, g, index
-        return d, x, y, g, h
-    for other, s in y:
+        if modulus > x:
+            return d, modulus, x
+        return d, x, (modulus if modulus > y else y)
+    for s in y:
         # The real part of conj(a) * b is that of conj(b) * a, bit for bit.
-        value, pair = abs((total.conjugate() * s).real), (other, index) if other < index else (index, other)
-        if value > x or value == x and pair < (g, h):
-            x, (g, h) = value, pair
-    return d, x, (*y, (index, total)), g, h
+        value = abs((total.conjugate() * s).real)
+        if value > x:
+            x = value
+    return d, x, (*y, total)
 
 
-def _settle(
-    state: tuple, scale: float, tolerance: float, mode: str
-) -> tuple[bool, float, tuple[int, int] | None, float]:
+def _settle(state: tuple, scale: float, tolerance: float, mode: str) -> tuple[bool, float, float]:
     """The verdict on a folded state: the worst entry, scaled, against the
     tolerance relative to the largest diagonal value, at least ``1/(2n)``.
 
-    Returns ``(consistent, max_violation, pair, tolerance_used)``; ``pair``
-    holds the groups of the worst entry (None for a single group).
+    Returns ``(consistent, max_violation, tolerance_used)``.  A single group
+    has no off-diagonal entry, and its state settles to a violation of 0.
     """
-    d, x, y, g, h = state
+    d, x, y = state
     tolerance_used = tolerance * d
-    if h is None:
-        return True, 0.0, None, tolerance_used
     violation = (x * y if mode == MODE_MEDIUM else x) * scale
-    return violation <= tolerance_used, violation, (g, h) if g < h else (h, g), tolerance_used
-
-
-def _decide(
-    terms: Sequence[tuple[complex, float, float, float]], scale: float, mode: str, tolerance: float
-) -> tuple[bool, float, tuple[int, int] | None, float]:
-    """The closed-form decoherence functional of one partition, judged on
-    its groups' :func:`_group_terms`: each group folded in, in order, then
-    settled."""
-    state = _EMPTY[mode]
-    for index, group_terms in enumerate(terms):
-        state = _fold(state, index, group_terms, mode)
-    return _settle(state, scale, tolerance, mode)
+    return violation <= tolerance_used, violation, tolerance_used
 
 
 def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) -> str:
@@ -235,7 +217,10 @@ def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance:
     _check_covers_open(model.scenario, partition)
     k, scale = model.scenario.n_open, model.scale
     terms = [_group_terms(_sum_amplitudes(model.amplitudes[i] for i in g), len(g), k, scale) for g in partition.groups]
-    return terms, _decide(terms, scale, mode, tolerance)
+    state = _EMPTY[mode]
+    for group_terms in terms:
+        state = _fold(state, group_terms, mode)
+    return terms, _settle(state, scale, tolerance, mode)
 
 
 def group_decoherence_closed_form(
@@ -271,8 +256,17 @@ def check_consistency(
     the largest diagonal value, so the verdict does not depend on the
     overall amplitude scale; it must be finite and non-negative.
     """
-    consistent, violation, pair, tolerance_used = _verdict(model, partition, mode, tolerance)[1]
+    terms, (consistent, violation, tolerance_used) = _verdict(model, partition, mode, tolerance)
     offending = None
     if not consistent:
+        # The worst entry's groups: in medium mode the two largest moduli,
+        # the lower group first among equal ones (a stable sort); in weak
+        # mode the first pair, in the order of combinations, whose real part
+        # is the largest.
+        if mode == MODE_MEDIUM:
+            pair = sorted(sorted(range(len(terms)), key=lambda g: terms[g][1], reverse=True)[:2])
+        else:
+            real = lambda p: abs((terms[p[1]][0].conjugate() * terms[p[0]][0]).real)
+            pair = max(itertools.combinations(range(len(terms)), 2), key=real)
         offending = tuple(_history_label(model.scenario, partition.groups[g], DETECTED) for g in pair)
     return ConsistencyReport(mode, consistent, violation, offending, tolerance_used)

@@ -10,7 +10,6 @@ can retrodict, with certainty, that a detected particle took disjoint paths.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -111,7 +110,7 @@ def history_probabilities(
     """The partition as a framework: its diagonal decoherence values as
     probabilities, keyed by (group, branch), refused with InconsistentSet
     unless the partition passes consistency."""
-    terms, (consistent, violation, _, tolerance_used) = _verdict(model, partition, mode, tolerance)
+    terms, (consistent, violation, tolerance_used) = _verdict(model, partition, mode, tolerance)
     if not consistent:
         raise InconsistentSet(
             f"partition is not a consistent set in {mode} mode: "
@@ -256,7 +255,7 @@ def enumerate_consistent_frameworks(
     found: list[tuple[int, Framework]] = []
 
     def judge(groups: list[int], key: int, state: tuple) -> None:
-        consistent, violation, _, tolerance_used = _settle(state, scale, tolerance, mode)
+        consistent, violation, tolerance_used = _settle(state, scale, tolerance, mode)
         if consistent:
             # The groups are disjoint and ordered by lowest position, which
             # orders them by lowest path index too.
@@ -266,9 +265,9 @@ def enumerate_consistent_frameworks(
 
     # The groups placed so far as position masks, by lowest position; the
     # carrier, at slot ``carrier`` once it is opened, may still grow.  Each
-    # group is folded into the verdict's state under the bit of its lowest
-    # position, which numbers the groups in partition order: a near-zero
-    # subset when it is placed, the carrier (or its split) at the leaf.
+    # group is folded into the verdict's state, whose value does not depend
+    # on the order of the folds: a near-zero subset when it is placed, the
+    # carrier (or its split) at the leaf.
     slots: list[int] = []
 
     def extend(rest: int, key: int, carrier: int | None, state: tuple) -> None:
@@ -279,7 +278,7 @@ def enumerate_consistent_frameworks(
             if not whole:
                 judge(slots, key, state)
             elif whole not in near:  # else built elsewhere, with the carrier as a near-zero subset
-                judge(slots, key, _fold(state, whole & -whole, terms_of[whole], mode))
+                judge(slots, key, _fold(state, terms_of[whole], mode))
             # Weak mode splits the carrier into A, which keeps its lowest
             # position, and B, neither near-zero, whose float sums pass
             # |Re(conj(s_B) s_A)| <= bound, widened by the slack of both sums
@@ -300,7 +299,7 @@ def enumerate_consistent_frameworks(
                     if abs(dot) <= bound + slack * (m_a + m_b + slack) + 2.0**-50 * m_a * m_b:
                         groups = sorted([*slots[:carrier], a, b, *slots[carrier + 1 :]], key=lambda m: m & -m)
                         key_ab = sum(g * weight_of[m] for g, m in enumerate(groups))
-                        judge(groups, key_ab, _fold(_fold(state, a & -a, terms_of[a], mode), b & -b, terms_of[b], mode))
+                        judge(groups, key_ab, _fold(_fold(state, terms_of[a], mode), terms_of[b], mode))
                 b = (b - 1) & others
             return
         low = rest & -rest
@@ -317,7 +316,7 @@ def enumerate_consistent_frameworks(
         for subset, weight in starts[j]:
             if subset & rest == subset:
                 slots.append(subset)
-                extend(rest ^ subset, key + n * weight, carrier, _fold(state, low, terms_of[subset], mode))
+                extend(rest ^ subset, key + n * weight, carrier, _fold(state, terms_of[subset], mode))
                 slots.pop()
 
     extend((1 << k) - 1, 0, None, _EMPTY[mode])
@@ -489,8 +488,8 @@ def find_contradictions(
     inner loop, and the tests made follow the certain events that clash.
     """
     frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance, max_paths=max_paths)
-    mask_of = functools.cache(lambda group: sum(1 << i for i in group))
-    judged = [(f, summary) for f in frameworks if (summary := _clash_summary(f, mask_of)) is not None]
+    mask_of = _Memo(lambda group: sum(1 << i for i in group))
+    judged = [(f, summary) for f in frameworks if (summary := _clash_summary(f, mask_of.__getitem__)) is not None]
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, (_, (core, span, *_)) in enumerate(judged):
         buckets.setdefault((core, span), []).append(i)
@@ -509,15 +508,15 @@ def find_contradictions(
                         pairs.append((j, i, flipped))
     pairs.sort()
 
-    event = functools.cache(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
-    events = functools.cache(lambda i: _clash_events(judged[i][1], event))
+    event = _Memo(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
+    events = _Memo(lambda i: _clash_events(judged[i][1], event.__getitem__))
     # ContradictionRecord checks nothing (its contract test pins that it has
     # no __new__ of its own): this only skips namedtuple's Python-level __new__.
     new = tuple.__new__
     records: list[ContradictionRecord] = []
     for i, j, kinds in pairs:
         (fa, summary_a), (fb, summary_b) = judged[i], judged[j]
-        (certain_a, null_a), (certain_b, null_b) = events(i), events(j)
+        (certain_a, null_a), (certain_b, null_b) = events[i], events[j]
         # Each job's floor, the AND of the other list's masks, is read off the
         # other framework's (core, span): core for its certain events, ~span
         # for the complemented masks of its null events.

@@ -37,7 +37,7 @@ from chslit import (
     history_set_for_partition,
     parse_partition,
 )
-from chslit.engine import _EMPTY, _decide, _fold, _group_terms, _settle
+from chslit.engine import _EMPTY, _fold, _group_terms, _settle
 from chslit.reference import detector_direction
 from conftest import make_scenario, random_partition, random_scenario
 from chslit import enumerate_consistent_frameworks, find_contradictions, format_partition
@@ -357,20 +357,64 @@ def test_the_first_of_equal_worst_pairs_is_reported(amplitudes, mode, pair):
     assert report.offending_pair == tuple(f"{{{label}}} then detected" for label in pair)
 
 
+def test_the_first_of_equal_worst_pairs_is_reported_in_a_seeded_sweep():
+    # Gaussian-integer amplitudes give exact group sums and many ties.  The
+    # brute rule compares every pair's detected entry exactly, as integers:
+    # |conj(s_h) s_g|^2 in medium mode, |Re(conj(s_h) s_g)| in weak mode.
+    rng = random.Random(18)
+    values = (0, 1, -1, 2, -2, 1j, -1j)
+    checked = 0
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        amplitudes = [rng.choice(values) for _ in range(k)]
+        if not any(amplitudes):
+            continue
+        model = build_experiment(make_scenario(amplitudes))
+        finest = Partition(tuple(frozenset([i]) for i in range(k)))
+        for partition in (finest, random_partition(rng, range(k))):
+            sums = [sum(amplitudes[i] for i in g) for g in partition.groups]
+            parts = [(int(s.real), int(s.imag)) for s in map(complex, sums)]
+            norms = [re * re + im * im for re, im in parts]
+            medium = lambda p: norms[p[0]] * norms[p[1]]
+            weak = lambda p: abs(parts[p[0]][0] * parts[p[1]][0] + parts[p[0]][1] * parts[p[1]][1])
+            pairs = list(combinations(range(len(sums)), 2))
+            for mode, entry in (("medium", medium), ("weak", weak)):
+                report = check_consistency(model, partition, mode=mode, tolerance=0.0)
+                worst = max(map(entry, pairs), default=0)
+                assert report.consistent == (worst == 0), (amplitudes, partition, mode)
+                if worst:
+                    g, h = next(p for p in pairs if entry(p) == worst)
+                    labels = [",".join(f"S{i + 1}" for i in sorted(partition.groups[j])) for j in (g, h)]
+                    assert report.offending_pair == tuple(f"{{{label}}} then detected" for label in labels), mode
+                    checked += 1
+                else:
+                    assert report.offending_pair is None
+    assert checked > 800
+
+
 @pytest.mark.parametrize("amplitudes", [(3, 1, 1, 1), (1, 3, 1, 3), (0, 0, 1, 1), (1, 1j, 1j, 1), (2, -1, 1j, -2j)])
 def test_the_folded_verdict_does_not_depend_on_the_order_of_the_groups(amplitudes):
     # The enumeration folds groups in the order it places them, not in
-    # partition order; every order must settle to the in-order verdict.
+    # partition order; every order must settle to the in-order verdict, and
+    # that is check_consistency's, bit for bit.
     model = build_experiment(make_scenario(amplitudes))
     k = len(amplitudes)
     terms = [_group_terms(a, 1, k, model.scale) for a in model.amplitudes]
+    finest = Partition(tuple(frozenset([i]) for i in range(k)))
+
+    def settle(order, mode):
+        state = _EMPTY[mode]
+        for index in order:
+            state = _fold(state, terms[index], mode)
+        consistent, violation, tolerance_used = _settle(state, model.scale, 0.0, mode)
+        return consistent, violation.hex(), tolerance_used.hex()
+
     for mode in ("medium", "weak"):
-        want = _decide(terms, model.scale, mode, 0.0)
+        want = settle(range(k), mode)
+        report = check_consistency(model, finest, mode=mode, tolerance=0.0)
+        assert want == (report.consistent, report.max_violation.hex(), report.tolerance_used.hex()), mode
         for order in permutations(range(k)):
-            state = _EMPTY[mode]
-            for index in order:
-                state = _fold(state, index, terms[index], mode)
-            assert _settle(state, model.scale, 0.0, mode) == want, (mode, order)
+            assert settle(order, mode) == want, (mode, order)
 
 
 def test_medium_consistency_implies_weak():

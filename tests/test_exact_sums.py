@@ -235,6 +235,42 @@ def test_negative_zero_tolerance_is_reported_as_zero():
     assert all(value == 0.0 and math.copysign(1.0, value) == 1.0 for value in used)
 
 
+# -- products of group sums ----------------------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the kernel's product of two group sums, or of their moduli, underflows "
+    "to 0 below about 1e-308, so a nonzero entry reads as 0",
+)
+def test_an_off_diagonal_entry_below_the_double_range_still_breaks_consistency():
+    # Exactly, {3} and {4} each sum to 1e-200, so conj(c_4) c_3 is about
+    # 1e-400 times the scale, not 0; only {1,2} cancels, leaving 1,2,3,4 and
+    # 1,2|3,4.
+    scenario = make_scenario([1, -1, 1e-200, 1e-200])
+    model = build_experiment(scenario)
+    for mode in MODES:
+        assert not check_consistency(model, parse_partition("1,2|3|4", 4), mode=mode, tolerance=0.0).consistent
+        frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=0.0)
+        assert [format_partition(f.partition) for f in frameworks] == ["1,2,3,4", "1,2|3,4"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the correctly rounded group sums are not the exact sums, and the real "
+    "part of their product is not 0",
+)
+def test_a_weak_split_orthogonal_only_on_exact_sums_is_consistent_at_zero_tolerance():
+    # Exactly, {1,2,3} sums to (2^53 + 1) + 1i and {4,5,6} to (2^53 - 1) +
+    # (1 - 2^106)i, so Re(conj(s_B) s_A) = (2^106 - 1) + (1 - 2^106) = 0.
+    scenario = make_scenario([2.0**53, 1, 1j, 2.0**53 - 1, -(2.0**106) * 1j, 1j])
+    model = build_experiment(scenario)
+    partition = parse_partition("1,2,3|4,5,6", 6)
+    assert check_consistency(model, partition, mode="weak", tolerance=0.0).consistent
+    frameworks = enumerate_consistent_frameworks(model, mode="weak", tolerance=0.0)
+    assert partition in [f.partition for f in frameworks]
+
+
 # -- amplitudes far below the largest ------------------------------------------
 
 
