@@ -209,13 +209,13 @@ def enumerate_consistent_frameworks(
     near-zero subsets plus at most one carrier group that is not near-zero,
     in weak mode also split into such an A and B, and judged by the engine's
     kernel on the group sums ``check_consistency`` uses.  What depends on a
-    group alone, its sum, its two diagonal terms (the probabilities) and
-    its table keys, is computed once per group mask, not once per candidate
-    it sits in, and each framework is assembled from those pieces.  The
-    verdict is folded along the recursion: each near-zero subset is folded
-    into the engine's state (:func:`~chslit.engine._fold`) when it is
-    placed, the carrier or its split at the leaf, and the leaf settles the
-    state, so a medium-mode candidate is judged in O(1), with the numbers
+    group alone, its sum, its diagonal terms (the probabilities), its table
+    keys and its term of the sort key, is computed once per group mask, and
+    each framework is assembled from those pieces.  Sort key and verdict
+    are folded along the recursion, neither depending on the order of the
+    groups: each near-zero subset when it is placed, the carrier or its
+    split at the leaf, where the state (:func:`~chslit.engine._fold`) is
+    settled, so a medium-mode candidate is judged in O(1), with the numbers
     ``check_consistency`` reports for its partition, bit for bit.  The
     cost follows the near-zero subsets and frameworks returned, plus the
     2**(k/2)-entry half tables of :func:`_near_zero`, in both modes; weak
@@ -237,20 +237,24 @@ def enumerate_consistent_frameworks(
     # correctly rounded sums in ``terms_of``.
     bound = (1 if mode == MODE_MEDIUM else 2) * tolerance * (1.0 + 1e-9) / scale
     near, sum_of, slack = _near_zero(amplitudes, bound)
-    # A partition's restricted growth string, read as a base-k number, sorts
-    # the frameworks; a group at slot g adds g times its weight, the sum of
-    # its positions' weights.  starts[j] lists each near-zero subset whose
-    # lowest position is j, with its weight.  Per group mask: its weight,
-    # the kernel's terms, the group and its table entries.
-    weights = [k ** (k - 1 - j) for j in range(k)]
-    weight_of = _Memo(lambda mask: sum(weights[j] for j in range(k) if mask >> j & 1))
+    # A partition's leader string, which gives each position the lowest
+    # position of its group, read as a base-k number, sorts the frameworks
+    # in the order of their restricted growth strings: where two strings
+    # first differ, the partitions agree below, and the smaller slot has the
+    # smaller leader.  The number sums one term per group, its lowest
+    # position times the sum of k**(k - 1 - j) over its positions j.
+    # starts[j] lists each near-zero subset whose lowest position is j, with
+    # its term.  Per group mask: its term, the kernel's terms, the group and
+    # its table entries.
+    lowest = lambda mask: (mask & -mask).bit_length() - 1
+    key_of = _Memo(lambda mask: lowest(mask) * sum(k ** (k - 1 - j) for j in range(k) if mask >> j & 1))
     exact = lambda mask: _sum_amplitudes(amplitudes[j] for j in range(k) if mask >> j & 1)
     terms_of = _Memo(lambda mask: _group_terms(exact(mask), mask.bit_count(), k, scale))
     group_of = _Memo(lambda mask: frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1))
     entries_of = _Memo(lambda mask: _entries(group_of[mask], terms_of[mask]))
     starts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for mask in sorted(near - {0}):
-        starts[(mask & -mask).bit_length() - 1].append((mask, weight_of[mask]))
+        starts[lowest(mask)].append((mask, key_of[mask]))
 
     found: list[tuple[int, Framework]] = []
 
@@ -265,20 +269,21 @@ def enumerate_consistent_frameworks(
 
     # The groups placed so far as position masks, by lowest position; the
     # carrier, at slot ``carrier`` once it is opened, may still grow.  Each
-    # group is folded into the verdict's state, whose value does not depend
-    # on the order of the folds: a near-zero subset when it is placed, the
-    # carrier (or its split) at the leaf.
+    # group is folded into the verdict's state, and its term added to the
+    # sort key, neither of which depends on the order of the groups: a
+    # near-zero subset when it is placed, the carrier (or its split) at the
+    # leaf.
     slots: list[int] = []
 
     def extend(rest: int, key: int, carrier: int | None, state: tuple) -> None:
-        """Place the lowest of the unplaced positions ``rest``; ``state``
-        has every placed group but the carrier folded in."""
+        """Place the lowest of the unplaced positions ``rest``; ``key`` and
+        ``state`` hold every placed group but the carrier."""
         if not rest:
             whole = 0 if carrier is None else slots[carrier]
             if not whole:
                 judge(slots, key, state)
             elif whole not in near:  # else built elsewhere, with the carrier as a near-zero subset
-                judge(slots, key, _fold(state, terms_of[whole], mode))
+                judge(slots, key + key_of[whole], _fold(state, terms_of[whole], mode))
             # Weak mode splits the carrier into A, which keeps its lowest
             # position, and B, neither near-zero, whose float sums pass
             # |Re(conj(s_B) s_A)| <= bound, widened by the slack of both sums
@@ -298,25 +303,23 @@ def enumerate_consistent_frameworks(
                     dot = s_a.real * s_b.real + s_a.imag * s_b.imag
                     if abs(dot) <= bound + slack * (m_a + m_b + slack) + 2.0**-50 * m_a * m_b:
                         groups = sorted([*slots[:carrier], a, b, *slots[carrier + 1 :]], key=lambda m: m & -m)
-                        key_ab = sum(g * weight_of[m] for g, m in enumerate(groups))
-                        judge(groups, key_ab, _fold(_fold(state, terms_of[a], mode), terms_of[b], mode))
+                        state_ab = _fold(_fold(state, terms_of[a], mode), terms_of[b], mode)
+                        judge(groups, key + key_of[a] + key_of[b], state_ab)
                 b = (b - 1) & others
             return
         low = rest & -rest
-        j = low.bit_length() - 1
-        n = len(slots)
         if carrier is None:
             slots.append(low)
-            extend(rest ^ low, key + n * weights[j], n, state)
+            extend(rest ^ low, key, len(slots) - 1, state)
             slots.pop()
         else:
             slots[carrier] |= low
-            extend(rest ^ low, key + carrier * weights[j], carrier, state)
+            extend(rest ^ low, key, carrier, state)
             slots[carrier] ^= low
-        for subset, weight in starts[j]:
+        for subset, term in starts[low.bit_length() - 1]:
             if subset & rest == subset:
                 slots.append(subset)
-                extend(rest ^ subset, key + n * weight, carrier, _fold(state, terms_of[subset], mode))
+                extend(rest ^ subset, key + term, carrier, _fold(state, terms_of[subset], mode))
                 slots.pop()
 
     extend((1 << k) - 1, 0, None, _EMPTY[mode])
@@ -449,13 +452,12 @@ def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Eve
     return unions(fixed, free, CERTAINTY_THRESHOLD.__le__), null
 
 
-def _clash_kinds(key_a: tuple[int, int], key_b: tuple[int, int]) -> tuple[bool, bool, bool]:
-    """Which records two frameworks with these ``(core, span)`` can give:
-    disjoint certainties need disjoint cores, and a certain event of one
-    inside a null event of the other needs the one's core inside the other's
-    span.  Returns the three tests in record order."""
+def _may_clash(key_a: tuple[int, int], key_b: tuple[int, int]) -> bool:
+    """Whether frameworks with these ``(core, span)`` can give a record:
+    disjoint certainties need disjoint cores, and a certain event of one in
+    a null event of the other needs the one's core inside the other's span."""
     (core_a, span_a), (core_b, span_b) = key_a, key_b
-    return not core_a & core_b, not core_a & ~span_b, not core_b & ~span_a
+    return not (core_a & core_b and core_a & ~span_b and core_b & ~span_a)
 
 
 def find_contradictions(
@@ -476,7 +478,7 @@ def find_contradictions(
 
     Frameworks are bucketed by the ``(core, span)`` of
     :func:`_clash_summary`, and only pairs from buckets that pass
-    :func:`_clash_kinds` are visited, so the cost follows the pairs that can
+    :func:`_may_clash` are visited, so the cost follows the pairs that can
     clash, not all pairs.  A framework's events are tabulated when it first
     sits in a visited pair; clashes are tested on path masks, and each
     event set is built once per mask.  The key also gives each event list
@@ -486,6 +488,8 @@ def find_contradictions(
     each group inside it is a null event.  A certain event that meets the
     other list's floor meets every mask in it, so it is dropped before its
     inner loop, and the tests made follow the certain events that clash.
+    A visited pair runs all three tests: one that cannot clash has the core
+    of its certain side meeting the floor, so the screen drops every event.
     """
     frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance, max_paths=max_paths)
     mask_of = _Memo(lambda group: sum(1 << i for i in group))
@@ -493,19 +497,12 @@ def find_contradictions(
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, (_, (core, span, *_)) in enumerate(judged):
         buckets.setdefault((core, span), []).append(i)
-    # Every pair i < j from buckets that can clash, with the record kinds
-    # seen from i's side, in the order of itertools.combinations.
-    pairs: list[tuple[int, int, tuple[bool, bool, bool]]] = []
-    for key_a, key_b in itertools.combinations_with_replacement(buckets, 2):
-        disjoint, a_in_b, b_in_a = kinds = _clash_kinds(key_a, key_b)
-        if any(kinds):
-            flipped = (disjoint, b_in_a, a_in_b)
-            for i in buckets[key_a]:
-                for j in buckets[key_b]:
-                    if i < j:
-                        pairs.append((i, j, kinds))
-                    elif key_a != key_b:
-                        pairs.append((j, i, flipped))
+    # Every pair i < j from buckets, keyed a and b, that can clash, in the
+    # order of itertools.combinations.
+    pairs: list[tuple[int, int]] = []
+    for a, b in itertools.combinations_with_replacement(buckets, 2):
+        if _may_clash(a, b):
+            pairs += [(i, j) if i < j else (j, i) for i in buckets[a] for j in buckets[b] if i < j or a != b]
     pairs.sort()
 
     event = _Memo(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
@@ -514,18 +511,20 @@ def find_contradictions(
     # no __new__ of its own): this only skips namedtuple's Python-level __new__.
     new = tuple.__new__
     records: list[ContradictionRecord] = []
-    for i, j, kinds in pairs:
+    for i, j in pairs:
         (fa, summary_a), (fb, summary_b) = judged[i], judged[j]
         (certain_a, null_a), (certain_b, null_b) = events[i], events[j]
         # Each job's floor, the AND of the other list's masks, is read off the
         # other framework's (core, span): core for its certain events, ~span
-        # for the complemented masks of its null events.
+        # for the complemented masks of its null events.  A job that cannot
+        # clash has the core of its certain side meeting the floor, so the
+        # screen drops each of its certain events.
         jobs = (
             ("disjoint-certainty", fa, fb, certain_a, certain_b, summary_b[0]),
             ("implication-violation", fa, fb, certain_a, null_b, ~summary_b[1]),
             ("implication-violation", fb, fa, certain_b, null_a, ~summary_a[1]),
         )
-        for kind, f1, f2, certain, other, floor in itertools.compress(jobs, kinds):
+        for kind, f1, f2, certain, other, floor in jobs:
             records += [
                 new(ContradictionRecord, (kind, f1, f2, ea, eb, pa, pb))
                 for ma, ea, pa in certain
