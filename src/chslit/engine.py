@@ -191,24 +191,20 @@ def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) ->
     return "{%s} then %s" % (",".join(scenario.path_label(i) for i in sorted(group)), branch)
 
 
-def _entries(group: frozenset[int], terms: tuple[complex, float, float, float]):
-    """A group's two entries of a probability table, detected then
-    undetected, from its :func:`_group_terms`."""
-    return ((group, DETECTED), terms[2]), ((group, UNDETECTED), terms[3])
-
-
 def _framework(
-    partition: Partition, mode: str, entries: Iterable, violation: float, tolerance_used: float
+    partition: Partition, mode: str, detected: Iterable, undetected: Iterable, violation: float, tolerance_used: float
 ) -> Framework:
-    """Wrap a partition the kernel found consistent, given the
-    :func:`_entries` of its groups: the table lists every detected entry,
-    then every undetected one, each in group order.  Neither record type
-    checks its fields (a contract test pins that neither has a ``__new__``
-    of its own), so both are built past namedtuple's Python-level
-    ``__new__``."""
+    """Wrap a partition the kernel found consistent: the one assembler of
+    every framework, for :func:`~chslit.frameworks.history_probabilities`
+    and the enumeration alike.  ``detected`` and ``undetected`` are the
+    groups' table items, ``((group, branch), probability)`` in group order;
+    the table lists every detected item, then every undetected one.
+    Neither record type checks its fields (a contract test pins that
+    neither has a ``__new__`` of its own), so both are built past
+    namedtuple's Python-level ``__new__``."""
     new = tuple.__new__
     report = new(ConsistencyReport, (mode, True, violation, None, tolerance_used))
-    return new(Framework, (partition, mode, dict(itertools.chain(*zip(*entries))), report))
+    return new(Framework, (partition, mode, dict([*detected, *undetected]), report))
 
 
 def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance: float):

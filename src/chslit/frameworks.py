@@ -24,11 +24,11 @@ from .engine import (
     DEFAULT_TOLERANCE,
     MODE_MEDIUM,
     NULL_CONDITION,
+    UNDETECTED,
     ExperimentModel,
     Framework,
     _EMPTY,
     _check_mode_and_tolerance,
-    _entries,
     _fold,
     _framework,
     _group_terms,
@@ -116,7 +116,9 @@ def history_probabilities(
             f"partition is not a consistent set in {mode} mode: "
             f"max violation {violation:.3e} exceeds tolerance {tolerance_used:.3e}"
         )
-    return _framework(partition, mode, map(_entries, partition.groups, terms), violation, tolerance_used)
+    detected = [((g, DETECTED), t[2]) for g, t in zip(partition.groups, terms)]
+    undetected = [((g, UNDETECTED), t[3]) for g, t in zip(partition.groups, terms)]
+    return _framework(partition, mode, detected, undetected, violation, tolerance_used)
 
 
 build_framework = history_probabilities
@@ -208,19 +210,19 @@ def enumerate_consistent_frameworks(
     ``|Re(conj(c_B) c_A)| <= tol``.  So each candidate is built once, from
     near-zero subsets plus at most one carrier group that is not near-zero,
     in weak mode also split into such an A and B, and judged by the engine's
-    kernel on the group sums ``check_consistency`` uses.  What depends on a
-    group alone, its sum, its diagonal terms (the probabilities), its table
-    keys and its term of the sort key, is computed once per group mask, and
-    each framework is assembled from those pieces.  Sort key and verdict
-    are folded along the recursion, neither depending on the order of the
-    groups: each near-zero subset when it is placed, the carrier or its
-    split at the leaf, where the state (:func:`~chslit.engine._fold`) is
-    settled, so a medium-mode candidate is judged in O(1), with the numbers
-    ``check_consistency`` reports for its partition, bit for bit.  The
-    cost follows the near-zero subsets and frameworks returned, plus the
-    2**(k/2)-entry half tables of :func:`_near_zero`, in both modes; weak
-    mode adds 2**(r-1) splits per r-path carrier, each screened on the sums
-    those half tables give.
+    kernel on the group sums ``check_consistency`` uses.  Sort key and
+    verdict are folded along the recursion, in any order of the groups:
+    each near-zero subset when it is placed, the carrier or its split at
+    the leaf, where the state (:func:`~chslit.engine._fold`) is settled, so
+    a medium-mode candidate is judged in O(1), with the numbers
+    ``check_consistency`` reports for its partition, bit for bit.  An
+    accepted candidate is kept as a compact (key, group masks, verdict)
+    tuple; each framework is assembled once, after the sort, from what one
+    scan of each group mask's positions gives once per mask (sum, diagonal
+    terms, key term) and, for masks in frameworks, group and table items.
+    The cost follows the near-zero subsets and frameworks returned, plus
+    the 2**(k/2)-entry half tables of :func:`_near_zero`; weak mode adds
+    2**(r-1) splits per r-path carrier, each screened on their sums.
     """
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     open_indices = model.scenario.open_indices
@@ -234,7 +236,7 @@ def enumerate_consistent_frameworks(
     # sums by less than ``slack``, so the screens widen their bounds by that
     # much (and ``bound`` by a factor for the kernel's own rounding).  Passing
     # too many candidates only costs kernel calls: the kernel decides on the
-    # correctly rounded sums in ``terms_of``.
+    # correctly rounded sums in ``record``.
     bound = (1 if mode == MODE_MEDIUM else 2) * tolerance * (1.0 + 1e-9) / scale
     near, sum_of, slack = _near_zero(amplitudes, bound)
     # A partition's leader string, which gives each position the lowest
@@ -243,29 +245,30 @@ def enumerate_consistent_frameworks(
     # first differ, the partitions agree below, and the smaller slot has the
     # smaller leader.  The number sums one term per group, its lowest
     # position times the sum of k**(k - 1 - j) over its positions j.
+    weights = [k ** (k - 1 - j) for j in range(k)]
+
+    def scan(mask: int) -> tuple[int, tuple]:
+        # A group mask's record, from one scan of its positions: its term of
+        # the sort key and the kernel's terms of its correctly rounded sum.
+        at = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        total = _sum_amplitudes(map(amplitudes.__getitem__, at))
+        return at[0] * sum(map(weights.__getitem__, at)), _group_terms(total, len(at), k, scale)
+
+    record = _Memo(scan)
     # starts[j] lists each near-zero subset whose lowest position is j, with
-    # its term.  Per group mask: its term, the kernel's terms, the group and
-    # its table entries.
-    lowest = lambda mask: (mask & -mask).bit_length() - 1
-    key_of = _Memo(lambda mask: lowest(mask) * sum(k ** (k - 1 - j) for j in range(k) if mask >> j & 1))
-    exact = lambda mask: _sum_amplitudes(amplitudes[j] for j in range(k) if mask >> j & 1)
-    terms_of = _Memo(lambda mask: _group_terms(exact(mask), mask.bit_count(), k, scale))
-    group_of = _Memo(lambda mask: frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1))
-    entries_of = _Memo(lambda mask: _entries(group_of[mask], terms_of[mask]))
-    starts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    # its record.
+    starts: list[list[tuple[int, int, tuple]]] = [[] for _ in range(k)]
     for mask in sorted(near - {0}):
-        starts[lowest(mask)].append((mask, key_of[mask]))
+        starts[(mask & -mask).bit_length() - 1].append((mask, *record[mask]))
 
-    found: list[tuple[int, Framework]] = []
+    # Each accepted candidate as (sort key, group masks by lowest position,
+    # max violation, tolerance used).
+    candidates: list[tuple[int, tuple[int, ...], float, float]] = []
 
-    def judge(groups: list[int], key: int, state: tuple) -> None:
+    def judge(masks: tuple[int, ...], key: int, state: tuple) -> None:
         consistent, violation, tolerance_used = _settle(state, scale, tolerance, mode)
         if consistent:
-            # The groups are disjoint and ordered by lowest position, which
-            # orders them by lowest path index too.
-            partition = Partition._trusted(tuple(map(group_of.__getitem__, groups)))
-            entries = map(entries_of.__getitem__, groups)
-            found.append((key, _framework(partition, mode, entries, violation, tolerance_used)))
+            candidates.append((key, masks, violation, tolerance_used))
 
     # The groups placed so far as position masks, by lowest position; the
     # carrier, at slot ``carrier`` once it is opened, may still grow.  Each
@@ -281,9 +284,10 @@ def enumerate_consistent_frameworks(
         if not rest:
             whole = 0 if carrier is None else slots[carrier]
             if not whole:
-                judge(slots, key, state)
+                judge(tuple(slots), key, state)
             elif whole not in near:  # else built elsewhere, with the carrier as a near-zero subset
-                judge(slots, key + key_of[whole], _fold(state, terms_of[whole], mode))
+                term, terms = record[whole]
+                judge(tuple(slots), key + term, _fold(state, terms, mode))
             # Weak mode splits the carrier into A, which keeps its lowest
             # position, and B, neither near-zero, whose float sums pass
             # |Re(conj(s_B) s_A)| <= bound, widened by the slack of both sums
@@ -293,7 +297,7 @@ def enumerate_consistent_frameworks(
             # the error of s_B, (k + 1) 2**-53 sum |a| in all, within the
             # slack.  An empty ``whole`` has no splits.
             others = b = 0 if mode == MODE_MEDIUM else whole & (whole - 1)
-            w = terms_of[whole][0] if b else 0j
+            w = record[whole][1][0] if b else 0j
             while b:
                 a = whole ^ b
                 if not (a in near or b in near):
@@ -302,9 +306,9 @@ def enumerate_consistent_frameworks(
                     m_a, m_b = abs(s_a), abs(s_b)
                     dot = s_a.real * s_b.real + s_a.imag * s_b.imag
                     if abs(dot) <= bound + slack * (m_a + m_b + slack) + 2.0**-50 * m_a * m_b:
-                        groups = sorted([*slots[:carrier], a, b, *slots[carrier + 1 :]], key=lambda m: m & -m)
-                        state_ab = _fold(_fold(state, terms_of[a], mode), terms_of[b], mode)
-                        judge(groups, key + key_of[a] + key_of[b], state_ab)
+                        masks = tuple(sorted([*slots[:carrier], a, b, *slots[carrier + 1 :]], key=lambda m: m & -m))
+                        (term_a, terms_a), (term_b, terms_b) = record[a], record[b]
+                        judge(masks, key + term_a + term_b, _fold(_fold(state, terms_a, mode), terms_b, mode))
                 b = (b - 1) & others
             return
         low = rest & -rest
@@ -316,15 +320,35 @@ def enumerate_consistent_frameworks(
             slots[carrier] |= low
             extend(rest ^ low, key, carrier, state)
             slots[carrier] ^= low
-        for subset, term in starts[low.bit_length() - 1]:
+        for subset, term, terms in starts[low.bit_length() - 1]:
             if subset & rest == subset:
                 slots.append(subset)
-                extend(rest ^ subset, key + term, carrier, _fold(state, terms_of[subset], mode))
+                extend(rest ^ subset, key + term, carrier, _fold(state, terms, mode))
                 slots.pop()
 
     extend((1 << k) - 1, 0, None, _EMPTY[mode])
     del extend  # it refers to itself: free the tables now, not at the next cycle collection
-    return [framework for _, framework in sorted(found, key=lambda item: item[0])]
+
+    # The keys are unique, so the sort never compares the masks.  Popping
+    # the candidates off the reverse-sorted list frees each one as its
+    # framework is built, so the two lists are never both whole.  Frameworks
+    # are built from pieces made once per group mask that sits in one: the
+    # group, whose members rise with its positions, and its two table items.
+    def piece(mask: int) -> tuple[frozenset[int], tuple, tuple]:
+        group = frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1)
+        _, (_, _, detected, undetected) = record[mask]
+        return group, ((group, DETECTED), detected), ((group, UNDETECTED), undetected)
+
+    pieces = _Memo(piece)
+    candidates.sort(reverse=True)
+    frameworks = []
+    while candidates:
+        _, masks, violation, tolerance_used = candidates.pop()
+        # The groups are disjoint and ordered by lowest position, which
+        # orders them by lowest path index too.
+        groups, detected, undetected = zip(*map(pieces.__getitem__, masks))
+        frameworks.append(_framework(Partition._trusted(groups), mode, detected, undetected, violation, tolerance_used))
+    return frameworks
 
 
 def query_event(framework: Framework, event: frozenset[int] | set[int], given_detected: bool = False) -> float:
@@ -519,17 +543,16 @@ def find_contradictions(
         # for the complemented masks of its null events.  A job that cannot
         # clash has the core of its certain side meeting the floor, so the
         # screen drops each of its certain events.
-        jobs = (
-            ("disjoint-certainty", fa, fb, certain_a, certain_b, summary_b[0]),
-            ("implication-violation", fa, fb, certain_a, null_b, ~summary_b[1]),
-            ("implication-violation", fb, fa, certain_b, null_a, ~summary_a[1]),
-        )
-        for kind, f1, f2, certain, other, floor in jobs:
-            records += [
-                new(ContradictionRecord, (kind, f1, f2, ea, eb, pa, pb))
-                for ma, ea, pa in certain
-                if not ma & floor
-                for mb, eb, pb in other
-                if not ma & mb
-            ]
+        records += [
+            new(ContradictionRecord, (kind, f1, f2, ea, eb, pa, pb))
+            for kind, f1, f2, certain, other, floor in (
+                ("disjoint-certainty", fa, fb, certain_a, certain_b, summary_b[0]),
+                ("implication-violation", fa, fb, certain_a, null_b, ~summary_b[1]),
+                ("implication-violation", fb, fa, certain_b, null_a, ~summary_a[1]),
+            )
+            for ma, ea, pa in certain
+            if not ma & floor
+            for mb, eb, pb in other
+            if not ma & mb
+        ]
     return records

@@ -296,6 +296,41 @@ def test_generic_enumeration_makes_at_most_k_kernel_calls(monkeypatch):
     assert len(calls) == len(frameworks) == BELL[6] == 877
 
 
+def test_enumeration_assembles_each_framework_once_and_sums_each_group_once(monkeypatch):
+    # The search keeps each accepted candidate as a compact tuple and builds
+    # its framework once, after the sort, so the assembler runs once per
+    # framework returned, never for a candidate the kernel refuses.  Each
+    # group mask's correctly rounded sum is made once, however many
+    # candidates the group sits in.  A summed mask is told by the identity
+    # of the model's amplitude objects, which the search passes through.
+    assembled, summed = [], []
+    framework, sum_amplitudes = chslit.frameworks._framework, chslit.frameworks._sum_amplitudes
+
+    def counting_sum(amplitudes):
+        amplitudes = list(amplitudes)
+        summed.append(frozenset(map(id, amplitudes)))
+        return sum_amplitudes(amplitudes)
+
+    monkeypatch.setattr(chslit.frameworks, "_framework", lambda *a: assembled.append(a) or framework(*a))
+    monkeypatch.setattr(chslit.frameworks, "_sum_amplitudes", counting_sum)
+    cases = (
+        (make_scenario([1, 0, 0, 0, 0, 0, 0]), BELL[6]),
+        # Medium mode keeps the two nonzero paths in one group, and weak mode
+        # too when their amplitudes are not orthogonal: Bell(7) partitions.
+        (_family_scenario(random.Random("assembly:two-nonzero"), "two-nonzero", 8), BELL[6]),
+        (random_scenario(random.Random(12), n=12, kind="generic"), 1),
+    )
+    for scenario, count in cases:
+        model = build_experiment(scenario)
+        assert len(set(map(id, model.amplitudes))) == scenario.n_open
+        for mode in ("medium", "weak"):
+            assembled.clear()
+            summed.clear()
+            frameworks = enumerate_consistent_frameworks(model, mode=mode)
+            assert len(assembled) == len(frameworks) == count, (scenario.n_open, mode)
+            assert summed and len(set(summed)) == len(summed), (scenario.n_open, mode)
+
+
 @pytest.mark.parametrize("kind", ["e1", "two-nonzero"])
 def test_each_enumerated_report_equals_the_check_of_its_partition(kind):
     # The enumeration judges a verdict folded along its search; checking the
