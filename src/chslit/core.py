@@ -106,14 +106,17 @@ class SlitScenario(_Entity, _Checked, namedtuple("SlitScenario", "name slits met
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
-        """Flattened paths: a slit with parts contributes one path per part."""
+        """Flattened paths: a slit with parts contributes one path per part.
+        ``Path`` checks nothing, so each is built past namedtuple's
+        Python-level ``__new__``."""
+        new = tuple.__new__
         out: list[Path] = []
         for slit in self.slits:
             if slit.parts:
                 for part in slit.parts:
-                    out.append(Path(len(out), f"{slit.label}.{part.label}", part.amplitude, slit.is_open))
+                    out.append(new(Path, (len(out), f"{slit.label}.{part.label}", part.amplitude, slit.is_open)))
             else:
-                out.append(Path(len(out), slit.label, slit.amplitude, slit.is_open))
+                out.append(new(Path, (len(out), slit.label, slit.amplitude, slit.is_open)))
         return tuple(out)
 
     @cached_property

@@ -15,7 +15,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .core import Partition, _Entity, _sum_amplitudes
 from .engine import (
@@ -194,14 +194,16 @@ def _near_zero(amplitudes: list[complex], bound: float) -> tuple[set[int], Calla
     return near, lambda mask: low[mask & below] + high[mask >> h], slack
 
 
-def enumerate_consistent_frameworks(
-    model: ExperimentModel,
-    mode: str = MODE_MEDIUM,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> list[Framework]:
-    """All partitions of the open paths that form consistent sets, in the
-    order of :func:`enumerate_partitions`, coarsest first.
+#: An accepted candidate: sort key, group masks of open positions by lowest
+#: position, max violation and tolerance used.
+_Candidate = tuple[int, tuple[int, ...], float, float]
+
+
+def _census(model: ExperimentModel, mode: str, tolerance: float, max_paths: int) -> tuple[list, _Memo, Callable]:
+    """``(candidates, record, assemble)``: the consistent partitions of the open
+    paths as compact candidates, last first in :func:`enumerate_partitions`
+    order; per mask, its key term and ``(sum, modulus, detected, undetected)``;
+    and ``assemble``, which pops a list of candidates into their frameworks.
 
     The diagonal is non-negative and sums to 1, so ``tol * max_diag <= tol``:
     in medium mode every group but the largest has ``|c_G|^2 <= |c_1||c_2| <=
@@ -215,14 +217,13 @@ def enumerate_consistent_frameworks(
     each near-zero subset when it is placed, the carrier or its split at
     the leaf, where the state (:func:`~chslit.engine._fold`) is settled, so
     a medium-mode candidate is judged in O(1), with the numbers
-    ``check_consistency`` reports for its partition, bit for bit.  An
-    accepted candidate is kept as a compact (key, group masks, verdict)
-    tuple; each framework is assembled once, after the sort, from what one
-    scan of each group mask's positions gives once per mask (sum, diagonal
-    terms, key term) and, for masks in frameworks, group and table items.
-    The cost follows the near-zero subsets and frameworks returned, plus
-    the 2**(k/2)-entry half tables of :func:`_near_zero`; weak mode adds
-    2**(r-1) splits per r-path carrier, each screened on their sums.
+    ``check_consistency`` reports for its partition, bit for bit.  A mask's
+    record comes from one scan of its positions; ``assemble`` adds, once per
+    mask, the group and its two table items, and builds each framework with
+    :func:`~chslit.engine._framework`.  The cost follows the near-zero
+    subsets and candidates, plus the 2**(k/2)-entry half tables of
+    :func:`_near_zero`; weak mode adds 2**(r-1) splits per r-path carrier,
+    each screened on their sums.
     """
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     open_indices = model.scenario.open_indices
@@ -261,9 +262,7 @@ def enumerate_consistent_frameworks(
     for mask in sorted(near - {0}):
         starts[(mask & -mask).bit_length() - 1].append((mask, *record[mask]))
 
-    # Each accepted candidate as (sort key, group masks by lowest position,
-    # max violation, tolerance used).
-    candidates: list[tuple[int, tuple[int, ...], float, float]] = []
+    candidates: list[_Candidate] = []
 
     def judge(masks: tuple[int, ...], key: int, state: tuple) -> None:
         consistent, violation, tolerance_used = _settle(state, scale, tolerance, mode)
@@ -329,26 +328,43 @@ def enumerate_consistent_frameworks(
     extend((1 << k) - 1, 0, None, _EMPTY[mode])
     del extend  # it refers to itself: free the tables now, not at the next cycle collection
 
-    # The keys are unique, so the sort never compares the masks.  Popping
-    # the candidates off the reverse-sorted list frees each one as its
-    # framework is built, so the two lists are never both whole.  Frameworks
-    # are built from pieces made once per group mask that sits in one: the
-    # group, whose members rise with its positions, and its two table items.
+    # The keys are unique, so the sort never compares the masks.  A
+    # framework is built from pieces made once per group mask that sits in
+    # one: the group, whose members rise with its positions, and its two
+    # table items.
+    candidates.sort(reverse=True)
+
     def piece(mask: int) -> tuple[frozenset[int], tuple, tuple]:
         group = frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1)
         _, (_, _, detected, undetected) = record[mask]
         return group, ((group, DETECTED), detected), ((group, UNDETECTED), undetected)
 
     pieces = _Memo(piece)
-    candidates.sort(reverse=True)
-    frameworks = []
-    while candidates:
-        _, masks, violation, tolerance_used = candidates.pop()
-        # The groups are disjoint and ordered by lowest position, which
-        # orders them by lowest path index too.
-        groups, detected, undetected = zip(*map(pieces.__getitem__, masks))
-        frameworks.append(_framework(Partition._trusted(groups), mode, detected, undetected, violation, tolerance_used))
-    return frameworks
+
+    def assemble(chosen: list[_Candidate]) -> list[Framework]:
+        # Popping the candidates frees each one as its framework is built,
+        # so the two lists are never both whole.  The groups are disjoint and
+        # ordered by lowest position, which orders them by lowest path index.
+        frameworks = []
+        while chosen:
+            _, masks, violation, used = chosen.pop()
+            groups, detected, undetected = zip(*map(pieces.__getitem__, masks))
+            frameworks.append(_framework(Partition._trusted(groups), mode, detected, undetected, violation, used))
+        return frameworks
+
+    return candidates, record, assemble
+
+
+def enumerate_consistent_frameworks(
+    model: ExperimentModel,
+    mode: str = MODE_MEDIUM,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_paths: int = DEFAULT_MAX_PATHS,
+) -> list[Framework]:
+    """All partitions of the open paths that form consistent sets, coarsest first, in
+    the order of :func:`enumerate_partitions`: each :func:`_census` candidate, assembled."""
+    candidates, _, assemble = _census(model, mode, tolerance, max_paths)
+    return assemble(candidates)
 
 
 def query_event(framework: Framework, event: frozenset[int] | set[int], given_detected: bool = False) -> float:
@@ -413,30 +429,26 @@ def combine_queries(framework_a: Framework, framework_b: Framework) -> Framework
 _Events = list[tuple[int, frozenset[int], float]]
 
 
-def _clash_summary(framework: Framework, mask_of: Callable[[frozenset[int]], int]):
-    """What bounds a framework's certain and null events, or None when
-    detection itself is a null event.
+def _clash_summary(masks: Sequence[int], detected: Sequence[float]):
+    """``(core, span, detected, total, masks)`` for a candidate whose groups
+    have path masks ``masks`` and detected terms ``detected`` (the floats of
+    its framework's table), or None when detection is a null event.
 
-    Returns ``(core, span, detected, total, masks)``: ``masks`` holds each
-    group as a bit mask of paths (``mask_of``) and ``detected`` its detected
-    probability.  An event's conditional probability is the correctly
-    rounded sum of its groups' terms, divided once by ``total``, as in
-    :func:`query_event`.  Adding a non-negative term to such a sum never
-    lowers it, so certain events are closed upward and null events downward.
-    Hence every certain event contains ``core``, the paths of the groups G
-    for which "every group but G" is not certain, and every null event lies
-    inside ``span``, the paths of the groups that are null on their own.
-    When the whole universe is not certain, no event is, and ``core`` is the
-    universe.  The bounds use the same sums as the events, so they are exact.
+    An event's conditional probability is the correctly rounded sum of its
+    groups' non-negative terms, divided once by ``total``, as in
+    :func:`query_event`: it never falls as groups are added, so certain
+    events are closed upward and null events downward.  Hence every
+    certain event contains ``core``, the paths of the groups G for which
+    "every group but G" is not certain (it is when G's term is 0), and every
+    null event lies inside ``span``, the paths of the groups null on their
+    own.  The bounds use the same sums as the events, so they are exact.
     """
-    groups = framework.partition.groups
-    detected = [framework.probabilities[(g, DETECTED)] for g in groups]
     total = math.fsum(detected)
     if total <= NULL_CONDITION:
         return None
-    masks = [*map(mask_of, groups)]
     core = sum(
-        m for g, m in enumerate(masks) if math.fsum(detected[:g] + detected[g + 1 :]) / total < CERTAINTY_THRESHOLD
+        m for g, (m, p) in enumerate(zip(masks, detected))
+        if p and math.fsum(detected[:g] + detected[g + 1 :]) / total < CERTAINTY_THRESHOLD
     )
     span = sum(m for m, p in zip(masks, detected) if p / total <= NULL_THRESHOLD)
     return core, span, detected, total, masks
@@ -500,27 +512,33 @@ def find_contradictions(
     disjoint certainties, then a's certainties in b's null events, then b's
     in a's.
 
-    Frameworks are bucketed by the ``(core, span)`` of
-    :func:`_clash_summary`, and only pairs from buckets that pass
-    :func:`_may_clash` are visited, so the cost follows the pairs that can
-    clash, not all pairs.  A framework's events are tabulated when it first
-    sits in a visited pair; clashes are tested on path masks, and each
-    event set is built once per mask.  The key also gives each event list
-    its floor, the AND of its masks: ``core`` is exactly the paths in every
-    certain event, since for a group G outside it "every group but G" is
-    certain, and ``~span`` exactly the paths outside every null event, since
-    each group inside it is a null event.  A certain event that meets the
-    other list's floor meets every mask in it, so it is dropped before its
-    inner loop, and the tests made follow the certain events that clash.
-    A visited pair runs all three tests: one that cannot clash has the core
-    of its certain side meeting the floor, so the screen drops every event.
+    The search reads the compact candidates of :func:`_census`, not
+    frameworks.  A candidate's :func:`_clash_summary` comes from its group
+    masks and their detected terms, candidates are bucketed by its ``(core,
+    span)`` key, and only pairs from buckets that pass :func:`_may_clash`
+    are visited, so the cost follows the pairs that can clash, not all pairs.
+    A candidate's events are tabulated when it first sits in a visited
+    pair, its framework is assembled when a record first names it, clashes
+    are tested on path masks, and each event set is built once per mask.
+    The key also gives each event list its floor, the AND of its masks:
+    ``core`` is exactly the paths in every certain event, since for a group
+    G outside it "every group but G" is certain, and ``~span`` exactly the
+    paths outside every null event, since each group inside it is a null
+    event.  A certain event that meets the other list's floor meets every
+    mask in it, so it is dropped before its inner loop.
     """
-    frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance, max_paths=max_paths)
-    mask_of = _Memo(lambda group: sum(1 << i for i in group))
-    judged = [(f, summary) for f in frameworks if (summary := _clash_summary(f, mask_of.__getitem__)) is not None]
+    candidates, record, assemble = _census(model, mode, tolerance, max_paths)
+    # A group mask of open positions as its mask of path indices, which
+    # differ where a slit is closed, and its detected term.
+    open_indices = model.scenario.open_indices
+    group = _Memo(lambda mask: (sum(1 << i for j, i in enumerate(open_indices) if mask >> j & 1), record[mask][1][2]))
+    judged = []
     buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (_, (core, span, *_)) in enumerate(judged):
-        buckets.setdefault((core, span), []).append(i)
+    for candidate in reversed(candidates):
+        summary = _clash_summary(*zip(*map(group.__getitem__, candidate[1])))
+        if summary is not None:
+            buckets.setdefault(summary[:2], []).append(len(judged))
+            judged.append((candidate, summary))
     # Every pair i < j from buckets, keyed a and b, that can clash, in the
     # order of itertools.combinations.
     pairs: list[tuple[int, int]] = []
@@ -530,29 +548,35 @@ def find_contradictions(
     pairs.sort()
 
     event = _Memo(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
-    events = _Memo(lambda i: _clash_events(judged[i][1], event.__getitem__))
+    # Each visited framework's events, with the floors of the lists tested
+    # against them: the AND of its certain masks, core, and of its null
+    # events' complemented masks, ~span.
+    events = _Memo(lambda i: (*_clash_events(judged[i][1], event.__getitem__), judged[i][1][0], ~judged[i][1][1]))
+    # A framework is assembled when a record first names it, and kept in
+    # ``built``: a list, as a record reads it more cheaply than a dict.
+    built: list[Framework | None] = [None] * len(judged)
+
+    def framework(i: int) -> Framework:
+        built[i] = assembled = assemble([judged[i][0]])[0]
+        return assembled
+
     # ContradictionRecord checks nothing (its contract test pins that it has
     # no __new__ of its own): this only skips namedtuple's Python-level __new__.
     new = tuple.__new__
-    records: list[ContradictionRecord] = []
-    for i, j in pairs:
-        (fa, summary_a), (fb, summary_b) = judged[i], judged[j]
-        (certain_a, null_a), (certain_b, null_b) = events[i], events[j]
-        # Each job's floor, the AND of the other list's masks, is read off the
-        # other framework's (core, span): core for its certain events, ~span
-        # for the complemented masks of its null events.  A job that cannot
-        # clash has the core of its certain side meeting the floor, so the
-        # screen drops each of its certain events.
-        records += [
-            new(ContradictionRecord, (kind, f1, f2, ea, eb, pa, pb))
-            for kind, f1, f2, certain, other, floor in (
-                ("disjoint-certainty", fa, fb, certain_a, certain_b, summary_b[0]),
-                ("implication-violation", fa, fb, certain_a, null_b, ~summary_b[1]),
-                ("implication-violation", fb, fa, certain_b, null_a, ~summary_a[1]),
-            )
-            for ma, ea, pa in certain
-            if not ma & floor
-            for mb, eb, pb in other
-            if not ma & mb
-        ]
-    return records
+    # A job's floor is the AND of the other list's masks.  A job that cannot
+    # clash has the core of its certain side meeting the floor, so the
+    # screen drops each of its certain events.
+    return [
+        new(ContradictionRecord, (kind, built[a] or framework(a), built[b] or framework(b), ea, eb, pa, pb))
+        for i, j in pairs
+        for (certain_i, null_i, _, outside_i), (certain_j, null_j, core_j, outside_j) in [(events[i], events[j])]
+        for kind, a, b, certain, other, floor in (
+            ("disjoint-certainty", i, j, certain_i, certain_j, core_j),
+            ("implication-violation", i, j, certain_i, null_j, outside_j),
+            ("implication-violation", j, i, certain_j, null_i, outside_i),
+        )
+        for ma, ea, pa in certain
+        if not ma & floor
+        for mb, eb, pb in other
+        if not ma & mb
+    ]

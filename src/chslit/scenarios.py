@@ -111,23 +111,28 @@ def load_scenario(data: str | bytes) -> SlitScenario:
         amplitude = _amplitude(raw.get("amplitude"), "slits", i, "amplitude")
         if not isinstance(raw.get("open"), bool):
             raise SchemaError(f"slits[{i}].open", "expected true or false")
+        if "parts" not in raw:
+            # Every field is checked above, and a slit without parts has no
+            # sum to check: build it past Slit's constructor, which would
+            # check its amplitude again.
+            slits.append(tuple.__new__(Slit, (label, amplitude, raw["open"], ())))
+            continue
+        raw_parts = raw["parts"]
+        if not isinstance(raw_parts, list):
+            raise SchemaError(f"slits[{i}].parts", "expected a list")
+        if not raw_parts:
+            raise SchemaError(f"slits[{i}].parts", "must not be empty when present")
         parts: list[SlitPart] = []
-        if "parts" in raw:
-            raw_parts = raw["parts"]
-            if not isinstance(raw_parts, list):
-                raise SchemaError(f"slits[{i}].parts", "expected a list")
-            if not raw_parts:
-                raise SchemaError(f"slits[{i}].parts", "must not be empty when present")
-            part_labels: set[str] = set()
-            for j, raw_part in enumerate(raw_parts):
-                if not isinstance(raw_part, dict):
-                    raise SchemaError(f"slits[{i}].parts[{j}]", "expected an object")
-                part_label = _text(raw_part.get("label"), "slits", i, "parts", j, "label")
-                if part_label in part_labels:
-                    raise SchemaError(f"slits[{i}].parts[{j}].label", f"duplicate part label {part_label!r}")
-                part_labels.add(part_label)
-                part_amplitude = _amplitude(raw_part.get("amplitude"), "slits", i, "parts", j, "amplitude")
-                parts.append(SlitPart(part_label, part_amplitude))
+        part_labels: set[str] = set()
+        for j, raw_part in enumerate(raw_parts):
+            if not isinstance(raw_part, dict):
+                raise SchemaError(f"slits[{i}].parts[{j}]", "expected an object")
+            part_label = _text(raw_part.get("label"), "slits", i, "parts", j, "label")
+            if part_label in part_labels:
+                raise SchemaError(f"slits[{i}].parts[{j}].label", f"duplicate part label {part_label!r}")
+            part_labels.add(part_label)
+            part_amplitude = _amplitude(raw_part.get("amplitude"), "slits", i, "parts", j, "amplitude")
+            parts.append(SlitPart(part_label, part_amplitude))
         # Slit construction raises PartSumMismatch with the slit label.
         slits.append(Slit(label, amplitude, raw["open"], tuple(parts)))
 
@@ -137,7 +142,9 @@ def load_scenario(data: str | bytes) -> SlitScenario:
             raise SchemaError("metadata", "expected an object")
         for key, value in doc["metadata"].items():
             metadata[str(key)] = _text(value, "metadata", key)
-    return SlitScenario(name, tuple(slits), metadata)
+    # The labels are checked unique above, and the metadata dict is this
+    # scenario's own: build it past SlitScenario's constructor too.
+    return tuple.__new__(SlitScenario, (name, tuple(slits), metadata))
 
 
 def save_scenario(scenario: SlitScenario) -> str:

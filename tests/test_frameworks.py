@@ -791,7 +791,10 @@ def test_clash_floors_are_the_bucket_key(kind):
     # masks and reads that AND off the (core, span) key: certain events are
     # closed upward and null events downward, so the AND of the certain
     # masks is core and the AND of the complemented null masks is ~span.
-    clash_summary, clash_events = chslit.frameworks._clash_summary, chslit.frameworks._clash_events
+    # The summary reads a census candidate: its groups' path masks and the
+    # per-mask detected terms, the floats its framework's table holds.
+    frameworks = chslit.frameworks
+    clash_summary, clash_events = frameworks._clash_summary, frameworks._clash_events
     mask_of = lambda group: sum(1 << i for i in group)
     event = lambda mask: mask
     models = [build_experiment(_family_scenario(random.Random(f"clash:{kind}"), kind, n)) for n in range(1, 7)]
@@ -802,8 +805,13 @@ def test_clash_floors_are_the_bucket_key(kind):
         runs += [(model, mode, tolerance) for mode, tolerance in product(("medium", "weak"), _SEVEN_PATH_RUNS[kind])]
     checked = 0
     for model, mode, tolerance in runs:
-        for framework in enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance):
-            summary = clash_summary(framework, mask_of)
+        candidates, record, assemble = frameworks._census(model, mode, tolerance, frameworks.DEFAULT_MAX_PATHS)
+        for candidate in candidates:
+            framework, = assemble([candidate])
+            groups = framework.partition.groups
+            detected = [record[m][1][2] for m in candidate[1]]
+            assert detected == [framework.probabilities[(g, "detected")] for g in groups]
+            summary = clash_summary([*map(mask_of, groups)], detected)
             if summary is None:
                 continue
             core, span = summary[:2]
@@ -855,6 +863,37 @@ def test_single_nonzero_contradiction_search_visits_no_framework_pair(monkeypatc
         assert len(bucket_pairs) == carriers * (carriers + 1) // 2
     assert len(find_contradictions(build_experiment(make_scenario([1, -1, 1, -1, 1])))) == 243
     assert tabulated
+
+
+def test_contradiction_search_assembles_only_the_frameworks_its_records_name(monkeypatch):
+    # The search reads the census's compact candidates and assembles a
+    # framework once, when a record first names it: not for a candidate in
+    # no visited pair, nor for one whose events it tabulates in visited
+    # pairs that give no record (48 of 71 on near-alternating-7 at 1e-3).
+    assembled, tabulated = [], []
+    framework, clash_events = chslit.frameworks._framework, chslit.frameworks._clash_events
+    monkeypatch.setattr(chslit.frameworks, "_framework", lambda *a: assembled.append(a) or framework(*a))
+    monkeypatch.setattr(chslit.frameworks, "_clash_events", lambda *a: tabulated.append(a) or clash_events(*a))
+    alternating = lambda k: make_scenario([(-1) ** j for j in range(k)])
+    near_alternating = _family_scenario(random.Random("clash:near-alternating"), "near-alternating", 7)
+    # Per mode: frameworks the records name, frameworks visited, frameworks.
+    cases = (
+        (THREE_SLIT, 1e-10, {"medium": (2, 2, 3), "weak": (2, 2, 3)}),
+        (alternating(5), 1e-10, {"medium": (15, 15, 16), "weak": (15, 15, 16)}),
+        (alternating(7), 1e-10, {"medium": (130, 130, 131), "weak": (130, 130, 131)}),
+        (make_scenario([1j**j for j in range(6)]), 1e-10, {"medium": (8, 8, 13), "weak": (16, 16, 42)}),
+        (make_scenario([1, 0, 0, 0, 0, 0]), 1e-10, {"medium": (0, 0, 203), "weak": (0, 0, 203)}),
+        (near_alternating, 1e-3, {"medium": (23, 71, 131), "weak": (23, 71, 131)}),
+    )
+    for scenario, tolerance, counts in cases:
+        model = build_experiment(scenario)
+        for mode, (named, visited, total) in counts.items():
+            assembled.clear()
+            tabulated.clear()
+            records = find_contradictions(model, mode=mode, tolerance=tolerance)
+            assert len(assembled) == len({id(f) for r in records for f in r[1:3]}) == named, (scenario.n_open, mode)
+            assert len(tabulated) == visited, (scenario.n_open, mode)
+            assert len(enumerate_consistent_frameworks(model, mode=mode, tolerance=tolerance)) == total
 
 
 # -- scale invariance ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -11,8 +12,10 @@ from chslit import (
     AlreadyRefined,
     ParseError,
     PartSumMismatch,
+    Path,
     SchemaError,
     Slit,
+    SlitPart,
     SlitScenario,
     UnknownScenario,
     UnknownSlit,
@@ -25,6 +28,7 @@ from chslit import (
     refine_slit,
     save_scenario,
 )
+from conftest import random_scenario
 
 THREE_SLIT_DOC = """\
 {
@@ -203,6 +207,33 @@ def test_save_load_round_trip_on_builtins():
         assert dict(again.metadata) == dict(scenario.metadata)
         # Canonical documents reproduce byte for byte.
         assert save_scenario(again) == save_scenario(scenario)
+
+
+def _typed(record):
+    """A record as its type, its fields with their types, and its parts alike."""
+    return type(record), [(type(v), v) for v in record], [*map(_typed, getattr(record, "parts", ()))]
+
+
+def test_loaded_slits_and_paths_equal_what_the_checking_constructors_build():
+    # The loader builds a slit without parts, and the scenario, past their
+    # constructors, whose checks it has already made, and paths are built
+    # past Path's; each must equal, field by field and type by type, what
+    # the constructors build.  Generic and planted 9- and 10-path documents,
+    # and the footnote's, with a closed slit and one split into parts.
+    rng = random.Random("loader")
+    scenarios = [random_scenario(rng, n, kind) for kind in ("generic", "planted") for n in (9, 10, 9, 10)]
+    scenarios += [builtin_scenario("two-slit-footnote"), builtin_scenario("generic")]
+    for scenario in scenarios:
+        loaded = load_scenario(save_scenario(scenario))
+        slits = [Slit(s.label, s.amplitude, s.is_open, [SlitPart(*p) for p in s.parts]) for s in scenario.slits]
+        checked = SlitScenario(scenario.name, slits, scenario.metadata)
+        assert type(loaded) is SlitScenario and (loaded.name, loaded.metadata) == (checked.name, checked.metadata)
+        assert type(loaded.slits) is tuple and list(map(_typed, loaded.slits)) == list(map(_typed, checked.slits))
+        paths = []
+        for slit in checked.slits:
+            for label, amplitude in [(f"{slit.label}.{p.label}", p.amplitude) for p in slit.parts] or [slit[:2]]:
+                paths.append(Path(len(paths), label, amplitude, slit.is_open))
+        assert list(map(_typed, loaded.paths)) == list(map(_typed, paths))
 
 
 def test_load_then_save_is_canonical_identity():
