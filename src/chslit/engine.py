@@ -13,20 +13,21 @@ partition is ``conj(c_H) * c_G`` between detected histories,
 ``delta_GH * |G|/k - conj(c_H) * c_G`` between undetected ones, and exactly
 0 across.  Its diagonal supplies candidate probabilities; a partition whose
 off-diagonal values vanish to tolerance is a consistent set (Griffiths,
-J. Stat. Phys. 36, 219 (1984)).  ``_group_terms`` evaluates it for one
-group.  A verdict reads only the largest diagonal value and the worst
-detected entry, in medium mode the product of the two largest ``|c_G|``,
-so ``_fold`` adds one group's terms to a state of three values, in any
-order, and ``_settle`` judges that state.  The state numbers no group:
-``check_consistency`` alone names the offending pair, from the groups'
-terms, when its verdict is inconsistent.  Every verdict and probability in
-the package comes from these functions.
+J. Stat. Phys. 36, 219 (1984)).
+
+Verdicts are exact, on each amplitude as a Gaussian integer times one
+power of two; reported numbers are floats from correctly rounded sums.
+``_group_terms`` evaluates one group, ``_fold`` adds it to a state of three
+values, in any order, ``_settle`` judges that state, and only
+``check_consistency`` names the offending pair.  Every verdict and
+probability in the package comes from these functions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property
@@ -60,18 +61,23 @@ class ExperimentModel(_Entity, namedtuple("ExperimentModel", "scenario amplitude
     """Immutable realization of a scenario: what the closed form reads.
 
     ``amplitudes`` are the path amplitudes times the power of two that puts
-    the largest component in [1, 2): exact, so cancelling sums still cancel,
-    and no square overflows or underflows anywhere in the double range.
-    With ``scale = 1 / (k * sum |amplitudes|^2)``, a group whose amplitudes
-    sum to ``s`` has ``|c_G|^2 = |s|^2 * scale``.  The dense members ``psi``,
-    ``group_projector`` and ``branch_projector`` delegate to
-    ``chslit.reference``, the one home of every dense object.  No
-    ``__slots__``: ``psi`` is cached in the instance dict.
+    the largest component in [1, 2); with ``scale = 1 / (k * sum |amplitudes|^2)``
+    they give the floats reported, ``|c_G|^2 = |s|^2 * scale`` for a sum ``s``.  The
+    dense members delegate to ``chslit.reference``, the one home of every
+    dense object.  No ``__slots__``: ``psi`` and ``_gaussian`` are cached.
     """
 
     @cached_property
     def psi(self):
         return _reference().initial_state(self)
+
+    @cached_property
+    def _gaussian(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """Each amplitude ``(p + iq) 2**E``, ``E`` the least exponent, as ``(p, q)``; and ``N = sum p^2 + q^2``."""
+        split = [math.frexp(c) for a in self.scenario.amplitudes for c in (a.real, a.imag)]
+        least = min(e for m, e in split if m)
+        ints = iter([int(m * 2.0**53) << (e - least) if m else 0 for m, e in split])
+        return (points := tuple(zip(ints, ints))), sum(p * p + q * q for p, q in points)
 
     def group_projector(self, group: Iterable[int]):
         return _reference().group_projector(self, group)
@@ -122,69 +128,79 @@ class Framework(_Entity, namedtuple("Framework", "partition mode probabilities r
 def _check_mode_and_tolerance(mode: str, tolerance: float) -> float:
     if mode not in MODES:
         raise ValueError(f"unknown consistency mode {mode!r}")
-    if not (tolerance >= 0.0 and math.isfinite(tolerance)):
+    # A comparison, not float(): an int may exceed the double range.  A bool is no number.
+    if isinstance(tolerance, bool) or not hasattr(tolerance, "__float__") or not 0 <= tolerance <= sys.float_info.max:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    return abs(tolerance)  # -0 passes the test above; report it as 0
+    return abs(float(tolerance))  # -0 passes the test above; report it as 0
 
 
-def _group_terms(total: complex, count: int, k: int, scale: float) -> tuple[complex, float, float, float]:
-    """What the closed form reads of one group of ``count`` of the ``k``
-    open paths whose model amplitudes sum to ``total``: that sum, its
-    modulus, and the group's diagonal entries, the detected probability
-    ``|c_G|^2`` and the undetected ``|G|/k - |c_G|^2``.  They depend on the
-    group alone, whatever partition it sits in."""
+def _group_terms(total: complex, exact: tuple[int, int], count: int, k: int, scale: float, norm: int) -> tuple:
+    """``(total, size, detected, undetected, top, exact)`` of a group of ``count``
+    of the ``k`` open paths, whose amplitudes sum to ``total`` in floats and to
+    ``exact`` on the points of ``N = norm``: the floats ``|c_G|^2`` and ``|G|/k
+    - |c_G|^2``, and ``|S|^2`` and the larger diagonal value in units of ``1/(k
+    N)``, each paired with its float, so that equal integers order by it."""
     modulus = abs(total)
     detected = modulus * modulus * scale
-    return total, modulus, detected, count / k - detected
+    undetected = count / k - detected
+    square = exact[0] ** 2 + exact[1] ** 2
+    top = max((square, detected), (count * norm - square, undetected))
+    return total, (square, modulus), detected, undetected, top, exact
+
+
+def _real_part(terms: tuple, other: tuple) -> tuple[int, float]:
+    """``|Re(conj(S) S')|`` of two groups' terms, exactly and on the float sums, in either order."""
+    (p, q), (r, s) = terms[5], other[5]
+    return abs(p * r + q * s), abs((terms[0].conjugate() * other[0]).real)
 
 
 #: The state of a verdict before any group is folded in, by mode; see :func:`_fold`.
-_EMPTY = {MODE_MEDIUM: (0.0, 0.0, 0.0), MODE_WEAK: (0.0, 0.0, ())}
+_EMPTY = {MODE_MEDIUM: ((0, 0.0), (0, 0.0), (0, 0.0)), MODE_WEAK: ((0, 0.0), (0, 0.0), ())}
 
 
-def _fold(state: tuple, terms: tuple[complex, float, float, float], mode: str) -> tuple:
+def _fold(state: tuple, terms: tuple, mode: str) -> tuple:
     """The state of a partition's verdict with one more group, whose
     :func:`_group_terms` are ``terms``.
 
     The undetected block mirrors the detected one and the cross block
     vanishes, so a verdict reads only the largest diagonal value ``d`` and
-    the worst detected entry: ``|conj(c_h) * c_g|`` of the two largest
-    moduli (medium), or the largest real part ``|Re(conj(c_h) * c_g)|``
-    over the group pairs (weak).  The state is ``(d, x, y)``: in medium mode
-    the two largest moduli ``x >= y``; in weak mode the largest real part
-    ``x``, unscaled, and in ``y`` each sum so far.  It holds values only, no
-    group numbers, so it does not depend on the order the groups are folded
-    in.
+    the worst detected entry: in medium mode the two largest sizes ``x >=
+    y``, in weak mode the largest real part ``x``, with in ``y`` the terms
+    of each group so far.  The state holds ``(integer, float)`` values only,
+    no group numbers, so it does not depend on the order of folding.
     """
     d, x, y = state
-    total, modulus, detected, undetected = terms
-    if detected > d:
-        d = detected
-    if undetected > d:
-        d = undetected
+    size, top = terms[1], terms[4]
+    if top > d:
+        d = top
     if mode == MODE_MEDIUM:
-        if modulus > x:
-            return d, modulus, x
-        return d, x, (modulus if modulus > y else y)
-    for s in y:
-        # The real part of conj(a) * b is that of conj(b) * a, bit for bit.
-        value = abs((total.conjugate() * s).real)
+        if size > y:
+            return (d, size, x) if size > x else (d, x, size)
+        return d, x, y
+    for other in y:
+        value = _real_part(terms, other)
         if value > x:
             x = value
-    return d, x, (*y, total)
+    return d, x, (*y, terms)
 
 
-def _settle(state: tuple, scale: float, tolerance: float, mode: str) -> tuple[bool, float, float]:
-    """The verdict on a folded state: the worst entry, scaled, against the
-    tolerance relative to the largest diagonal value, at least ``1/(2n)``.
-
-    Returns ``(consistent, max_violation, tolerance_used)``.  A single group
-    has no off-diagonal entry, and its state settles to a violation of 0.
-    """
-    d, x, y = state
-    tolerance_used = tolerance * d
-    violation = (x * y if mode == MODE_MEDIUM else x) * scale
-    return violation <= tolerance_used, violation, tolerance_used
+def _settle(state: tuple, scale: float, tolerance: float, ratio: tuple, mode: str) -> tuple[bool, float, float]:
+    """``(consistent, max_violation, tolerance_used)`` of a folded state ``(D,
+    X, Y)``, judged on its integers with ``tolerance = t / u`` (``ratio``):
+    medium mode needs ``X Y u^2 <= (t D)^2``, weak mode ``X u <= t D``.  A
+    float violation on the other side of the tolerance used (one below the
+    double range reads 0) is reported as the nearest float on the verdict's side."""
+    ((d, largest), (x, worst), y), (t, u) = state, ratio
+    if mode == MODE_MEDIUM:
+        y, second = y
+        consistent = not y or x * y * u * u <= (t * d) ** 2
+        worst *= second
+    else:
+        consistent = not x or x * u <= t * d
+    violation, tolerance_used = worst * scale, tolerance * largest
+    if consistent != (violation <= tolerance_used):
+        violation = tolerance_used if consistent else math.nextafter(tolerance_used, math.inf)
+    return consistent, violation, tolerance_used
 
 
 def _history_label(scenario: SlitScenario, group: Iterable[int], branch: str) -> str:
@@ -211,12 +227,14 @@ def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance:
     """The groups' terms and the kernel's verdict on them."""
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     _check_covers_open(model.scenario, partition)
-    k, scale = model.scenario.n_open, model.scale
-    terms = [_group_terms(_sum_amplitudes(model.amplitudes[i] for i in g), len(g), k, scale) for g in partition.groups]
+    k, scale, amplitudes = model.scenario.n_open, model.scale, model.amplitudes
+    points, norm = model._gaussian
+    terms = [_group_terms(_sum_amplitudes(amplitudes[i] for i in g), tuple(map(sum, zip(*(points[i] for i in g)))),
+                          len(g), k, scale, norm) for g in partition.groups]
     state = _EMPTY[mode]
     for group_terms in terms:
         state = _fold(state, group_terms, mode)
-    return terms, _settle(state, scale, tolerance, mode)
+    return terms, _settle(state, scale, tolerance, tolerance.as_integer_ratio(), mode)
 
 
 def group_decoherence_closed_form(
@@ -255,14 +273,14 @@ def check_consistency(
     terms, (consistent, violation, tolerance_used) = _verdict(model, partition, mode, tolerance)
     offending = None
     if not consistent:
-        # The worst entry's groups: in medium mode the two largest moduli,
-        # the lower group first among equal ones (a stable sort); in weak
-        # mode the first pair, in the order of combinations, whose real part
-        # is the largest.
+        # The worst entry's groups, those whose values the state kept: in
+        # medium mode the two largest sizes, the lower group first among
+        # equal ones (a stable sort); in weak mode the first pair, in the
+        # order of combinations, whose real part is the largest.
         if mode == MODE_MEDIUM:
             pair = sorted(sorted(range(len(terms)), key=lambda g: terms[g][1], reverse=True)[:2])
         else:
-            real = lambda p: abs((terms[p[1]][0].conjugate() * terms[p[0]][0]).real)
+            real = lambda p: _real_part(terms[p[1]], terms[p[0]])
             pair = max(itertools.combinations(range(len(terms)), 2), key=real)
         offending = tuple(_history_label(model.scenario, partition.groups[g], DETECTED) for g in pair)
     return ConsistencyReport(mode, consistent, violation, offending, tolerance_used)

@@ -139,59 +139,42 @@ class _Memo(dict):
         return value
 
 
-def _subset_sums(amplitudes: list[complex]) -> list[complex]:
-    """Every subset's sum, indexed by the bit mask of its positions: the
-    sum without the highest position, plus that position's amplitude."""
-    sums = [0j]
-    for amp in amplitudes:
-        sums += [s + amp for s in sums]
+def _subset_sums(values: Sequence[int]) -> list[int]:
+    """Every subset's sum, indexed by the bit mask of its positions: the sum
+    without the highest position, plus that position's value."""
+    sums = [0]
+    for value in values:
+        sums += [s + value for s in sums]
     return sums
 
 
-def _near_zero(amplitudes: list[complex], bound: float) -> tuple[set[int], Callable[[int], complex], float]:
-    """``(near, sum_of, slack)``: the bit masks of the positions whose
-    amplitudes may sum to a modulus of at most ``sqrt(bound)`` (every mask
-    whose exact sum does, the empty one included, and possibly a few more),
-    and a float sum ``sum_of(mask)`` of any mask, off its exact sum by less
-    than ``slack``.
+def _near_zero(points: list[tuple[int, int]], bound: int) -> tuple[set[int], Callable[[int], tuple[int, int]]]:
+    """``(near, sum_of)``: the masks of the positions whose points sum to
+    ``|S|^2 <= bound``, the empty one included, and any mask's sum.
 
-    A meet in the middle (Horowitz and Sahni, JACM 21, 277 (1974)): the
-    subset sums ``L`` of the low ``h = k // 2`` positions and ``R`` of the
-    others are tabulated, and mask ``lo | hi << h`` sums to ``L + R``: at
-    most ``k - 1`` additions, each rounding both components by at most
-    2**-53 of a partial sum of modulus at most ``sum |a|``.  So ``slack = k
-    2**-52 sum |a|`` bounds the error, with a factor 2 to spare for rounding
-    itself, and a mask is kept when ``|L + R| <= radius = sqrt(bound) +
-    slack``, as is every mask the kernel could judge near-zero.
-
-    Only pairs whose sort components nearly cancel are tested.  The low sums
-    are sorted by one component ``x`` (the real part, or the imaginary part
-    when the amplitudes spread more along it), and a high sum with component
-    ``y`` is tested against those with ``x`` in ``[-y - window, -y + window]``.
-    A kept pair has ``|fl(x + y)| <= radius``, so ``|x + y| <= radius (1 +
-    2**-52)``; the window's ends are rounded by at most ``2**-53 (|y| +
-    window)``, with ``|y| <= sum |a|``.  ``window = radius (1 + 2**-50) +
-    slack`` covers both, so the window drops no pair the test would keep.
-    The cost is a sort and two bisections per high sum, O(k 2**(k/2)), plus
-    one test per pair in a window, never more than the 2**k of a full table.
+    A meet in the middle (Horowitz and Sahni, JACM 21, 277 (1974)): mask ``lo
+    | hi << h`` sums to ``L + R``, from tables of the subset sums of the low
+    ``h = k // 2`` positions and of the others.  The low sums are sorted by
+    one component ``x`` (the one the points spread more along), and a high
+    sum with component ``y`` is tested only against those with ``|x + y| <=
+    isqrt(bound)``: O(k 2**(k/2)) for the sort and bisections, plus one test
+    per pair in a window, never more than the 2**k of a full table.
     """
-    h = len(amplitudes) // 2
-    slack = len(amplitudes) * 2.0**-52 * math.fsum(map(abs, amplitudes))
-    radius = math.sqrt(bound) + slack
-    window = radius * (1.0 + 2.0**-50) + slack
-    real, imag = operator.attrgetter("real"), operator.attrgetter("imag")
-    part = real if sum(map(abs, map(real, amplitudes))) >= sum(map(abs, map(imag, amplitudes))) else imag
-    low, high = _subset_sums(amplitudes[:h]), _subset_sums(amplitudes[h:])
-    order = sorted(range(len(low)), key=[*map(part, low)].__getitem__)
-    keys = [part(low[lo]) for lo in order]
-    first = [*map(bisect_left, itertools.repeat(keys), [-y - window for y in map(part, high)])]
-    last = [*map(bisect_right, itertools.repeat(keys), [-y + window for y in map(part, high)])]
+    h = len(points) // 2
+    radius = math.isqrt(bound)
+    xs, ys = zip(*points)
+    (lx, hx), (ly, hy) = [(_subset_sums(c[:h]), _subset_sums(c[h:])) for c in (xs, ys)]
+    low, high = (lx, hx) if sum(map(abs, xs)) >= sum(map(abs, ys)) else (ly, hy)
+    order = sorted(range(len(low)), key=low.__getitem__)
+    keys = [low[lo] for lo in order]
+    first = [*map(bisect_left, itertools.repeat(keys), [-y - radius for y in high])]
+    last = [*map(bisect_right, itertools.repeat(keys), [radius - y for y in high])]
     near = set()
     for hi in itertools.compress(range(len(high)), map(operator.lt, first, last)):
-        r, top = high[hi], hi << h
-        near.update(top | lo for lo in order[first[hi] : last[hi]] if abs(low[lo] + r) <= radius)
+        p, q, top = hx[hi], hy[hi], hi << h
+        near.update(top | lo for lo in order[first[hi] : last[hi]] if (lx[lo] + p) ** 2 + (ly[lo] + q) ** 2 <= bound)
     below = len(low) - 1
-    return near, lambda mask: low[mask & below] + high[mask >> h], slack
+    return near, lambda mask: (lx[mask & below] + hx[mask >> h], ly[mask & below] + hy[mask >> h])
 
 
 #: An accepted candidate: sort key, group masks of open positions by lowest
@@ -202,14 +185,15 @@ _Candidate = tuple[int, tuple[int, ...], float, float]
 def _census(model: ExperimentModel, mode: str, tolerance: float, max_paths: int) -> tuple[list, _Memo, Callable]:
     """``(candidates, record, assemble)``: the consistent partitions of the open
     paths as compact candidates, last first in :func:`enumerate_partitions`
-    order; per mask, its key term and ``(sum, modulus, detected, undetected)``;
+    order; per mask, its key term and :func:`~chslit.engine._group_terms`;
     and ``assemble``, which pops a list of candidates into their frameworks.
 
     The diagonal is non-negative and sums to 1, so ``tol * max_diag <= tol``:
     in medium mode every group but the largest has ``|c_G|^2 <= |c_1||c_2| <=
     tol``, and in weak mode at most two groups A, B have ``|c_G|^2 > 2 tol``
     (three would lie pairwise more than 60 degrees apart as lines), with
-    ``|Re(conj(c_B) c_A)| <= tol``.  So each candidate is built once, from
+    ``|Re(conj(c_B) c_A)| <= tol``, all integer tests on the points.  So each
+    candidate is built once, from
     near-zero subsets plus at most one carrier group that is not near-zero,
     in weak mode also split into such an A and B, and judged by the engine's
     kernel on the group sums ``check_consistency`` uses.  Sort key and
@@ -232,14 +216,12 @@ def _census(model: ExperimentModel, mode: str, tolerance: float, max_paths: int)
         raise TooLarge(f"{k} open paths exceeds the enumeration cap of {max_paths}")
     scale = model.scale
     amplitudes = [model.amplitudes[i] for i in open_indices]
-    # The near-zero subsets as bit masks of open positions.  Their sums, and
-    # in weak mode the sums ``sum_of`` gives any subset, are off the exact
-    # sums by less than ``slack``, so the screens widen their bounds by that
-    # much (and ``bound`` by a factor for the kernel's own rounding).  Passing
-    # too many candidates only costs kernel calls: the kernel decides on the
-    # correctly rounded sums in ``record``.
-    bound = (1 if mode == MODE_MEDIUM else 2) * tolerance * (1.0 + 1e-9) / scale
-    near, sum_of, slack = _near_zero(amplitudes, bound)
+    points, norm = model._gaussian
+    # The near-zero subsets as bit masks of open positions: |S|^2 <= m tol k N,
+    # with m = 1 carrier in medium mode, 2 in weak mode, and tol = t / u.
+    ratio = t, u = tolerance.as_integer_ratio()
+    bound = (1 if mode == MODE_MEDIUM else 2) * t * k * norm // u
+    near, sum_of = _near_zero([points[i] for i in open_indices], bound)
     # A partition's leader string, which gives each position the lowest
     # position of its group, read as a base-k number, sorts the frameworks
     # in the order of their restricted growth strings: where two strings
@@ -250,10 +232,11 @@ def _census(model: ExperimentModel, mode: str, tolerance: float, max_paths: int)
 
     def scan(mask: int) -> tuple[int, tuple]:
         # A group mask's record, from one scan of its positions: its term of
-        # the sort key and the kernel's terms of its correctly rounded sum.
+        # the sort key and the kernel's terms of its correctly rounded and
+        # its exact sum.
         at = [j for j in range(mask.bit_length()) if mask >> j & 1]
         total = _sum_amplitudes(map(amplitudes.__getitem__, at))
-        return at[0] * sum(map(weights.__getitem__, at)), _group_terms(total, len(at), k, scale)
+        return at[0] * sum(map(weights.__getitem__, at)), _group_terms(total, sum_of(mask), len(at), k, scale, norm)
 
     record = _Memo(scan)
     # starts[j] lists each near-zero subset whose lowest position is j, with
@@ -265,7 +248,7 @@ def _census(model: ExperimentModel, mode: str, tolerance: float, max_paths: int)
     candidates: list[_Candidate] = []
 
     def judge(masks: tuple[int, ...], key: int, state: tuple) -> None:
-        consistent, violation, tolerance_used = _settle(state, scale, tolerance, mode)
+        consistent, violation, tolerance_used = _settle(state, scale, tolerance, ratio, mode)
         if consistent:
             candidates.append((key, masks, violation, tolerance_used))
 
@@ -288,23 +271,17 @@ def _census(model: ExperimentModel, mode: str, tolerance: float, max_paths: int)
                 term, terms = record[whole]
                 judge(tuple(slots), key + term, _fold(state, terms, mode))
             # Weak mode splits the carrier into A, which keeps its lowest
-            # position, and B, neither near-zero, whose float sums pass
-            # |Re(conj(s_B) s_A)| <= bound, widened by the slack of both sums
-            # and by 2**-50 |s_A||s_B| for rounding the product.  s_B is
-            # ``sum_of(b)`` and s_A = w - s_B, with w the carrier's correctly
-            # rounded sum, so s_A is off by at most 2**-53 (|w| + |s_A|) plus
-            # the error of s_B, (k + 1) 2**-53 sum |a| in all, within the
-            # slack.  An empty ``whole`` has no splits.
+            # position, and B, neither near-zero, whose sums pass
+            # |Re(conj(S_B) S_A)| <= bound, which is at least tol k N >= tol D.
+            # S_B is ``sum_of(b)`` and S_A = W - S_B, with W the carrier's
+            # sum.  An empty ``whole`` has no splits.
             others = b = 0 if mode == MODE_MEDIUM else whole & (whole - 1)
-            w = record[whole][1][0] if b else 0j
+            w_p, w_q = sum_of(whole) if b else (0, 0)
             while b:
                 a = whole ^ b
                 if not (a in near or b in near):
-                    s_b = sum_of(b)
-                    s_a = w - s_b
-                    m_a, m_b = abs(s_a), abs(s_b)
-                    dot = s_a.real * s_b.real + s_a.imag * s_b.imag
-                    if abs(dot) <= bound + slack * (m_a + m_b + slack) + 2.0**-50 * m_a * m_b:
+                    p, q = sum_of(b)
+                    if abs((w_p - p) * p + (w_q - q) * q) <= bound:
                         masks = tuple(sorted([*slots[:carrier], a, b, *slots[carrier + 1 :]], key=lambda m: m & -m))
                         (term_a, terms_a), (term_b, terms_b) = record[a], record[b]
                         judge(masks, key + term_a + term_b, _fold(_fold(state, terms_a, mode), terms_b, mode))
@@ -336,7 +313,7 @@ def _census(model: ExperimentModel, mode: str, tolerance: float, max_paths: int)
 
     def piece(mask: int) -> tuple[frozenset[int], tuple, tuple]:
         group = frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1)
-        _, (_, _, detected, undetected) = record[mask]
+        detected, undetected = record[mask][1][2:4]
         return group, ((group, DETECTED), detected), ((group, UNDETECTED), undetected)
 
     pieces = _Memo(piece)

@@ -399,14 +399,15 @@ def test_the_folded_verdict_does_not_depend_on_the_order_of_the_groups(amplitude
     # that is check_consistency's, bit for bit.
     model = build_experiment(make_scenario(amplitudes))
     k = len(amplitudes)
-    terms = [_group_terms(a, 1, k, model.scale) for a in model.amplitudes]
+    points, norm = model._gaussian
+    terms = [_group_terms(a, points[i], 1, k, model.scale, norm) for i, a in enumerate(model.amplitudes)]
     finest = Partition(tuple(frozenset([i]) for i in range(k)))
 
     def settle(order, mode):
         state = _EMPTY[mode]
         for index in order:
             state = _fold(state, terms[index], mode)
-        consistent, violation, tolerance_used = _settle(state, model.scale, 0.0, mode)
+        consistent, violation, tolerance_used = _settle(state, model.scale, 0.0, (0, 1), mode)
         return consistent, violation.hex(), tolerance_used.hex()
 
     for mode in ("medium", "weak"):
@@ -694,15 +695,30 @@ def test_zero_tolerance_keeps_exact_cancellations():
     assert report.consistent and report.max_violation == 0.0
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), -1e-12, float("inf")])
+@pytest.mark.parametrize(
+    "tolerance",
+    [
+        float("nan"), -1e-12, float("inf"),
+        # An int beyond the double range, a bool and a string are no tolerance
+        # either, and get the same message, not an OverflowError, a silent 1
+        # or a TypeError.
+        pytest.param(10**400, id="int-beyond-doubles"),
+        pytest.param(True, id="bool"),
+        pytest.param("1e-3", id="string"),
+        pytest.param(None, id="none"),
+    ],
+)
 def test_tolerance_must_be_finite_and_non_negative(tolerance):
     model = build_experiment(THREE_SLIT)
-    with pytest.raises(ValueError):
+    message = "tolerance must be finite and non-negative"
+    with pytest.raises(ValueError, match=message):
         check_consistency(model, SPLIT_12_3, tolerance=tolerance)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         history_probabilities(model, SPLIT_12_3, tolerance=tolerance)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         enumerate_consistent_frameworks(model, tolerance=tolerance)
+    with pytest.raises(ValueError, match=message):
+        find_contradictions(model, tolerance=tolerance)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300, complex(0.6, -0.8) * 1e250])

@@ -1,10 +1,14 @@
-"""Group sums are correctly rounded, so nothing depends on the slit order.
+"""Verdicts are exact and reported sums are correctly rounded, so nothing
+depends on the slit order.
 
-Every amplitude sum goes through one ``math.fsum``-based helper and every
-probability sum through ``math.fsum``.  A correctly rounded sum does not
-depend on the order of its terms, so exact cancellations hold at
-``--tol 0`` however the slits are listed, and verdicts, probabilities and
-violations are the same bits under any permutation of the slits.
+Verdicts are decided on the amplitudes' exact binary values, as Gaussian
+integers; every reported amplitude sum goes through one ``math.fsum``-based
+helper and every probability sum through ``math.fsum``.  Neither depends on
+the order of the terms, so exact cancellations hold at ``--tol 0`` however
+the slits are listed, and verdicts, probabilities and violations are the
+same bits under any permutation of the slits.  Entries below the double
+range, sums that floats round, and amplitudes far below the largest are
+judged exactly too.
 """
 
 from __future__ import annotations
@@ -105,15 +109,25 @@ def test_listing_the_cancelling_slits_in_another_order_changes_no_bit():
         assert _bits(enumerate_consistent_frameworks(moved, tolerance=tolerance), order) == _bits(listed, range(4))
 
 
+def _file(tmp_path, name, amplitudes):
+    """A scenario file of open slits S1, S2, ... with these amplitudes."""
+    slits = [{"label": f"S{i + 1}", "amplitude": {"re": a.real, "im": a.imag}, "open": True}
+             for i, a in enumerate(map(complex, amplitudes))]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"version": 1, "name": name, "slits": slits}))
+    return str(path)
+
+
+def _listed(capsys, *argv):
+    """The partitions ``frameworks`` lists, in order."""
+    assert main(["frameworks", *argv, "--format", "json"]) == 0
+    return [f["partition"] for f in json.loads(capsys.readouterr().out)["payload"]["frameworks"]]
+
+
 def test_cli_judges_the_cancelling_group_exactly(capsys, tmp_path):
-    slits = [{"label": f"S{i + 1}", "amplitude": {"re": a, "im": 0.0}, "open": True}
-             for i, a in enumerate(CANCELLING)]
-    path = tmp_path / "cancel.json"
-    path.write_text(json.dumps({"version": 1, "name": "cancel", "slits": slits}))
-    assert main(["frameworks", "--file", str(path), "--tol", "0", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)["payload"]
-    assert [f["partition"] for f in payload["frameworks"]] == ["1,2,3,4", "1,3|2,4"]
-    assert main(["check", "--file", str(path), "--partition", "1,2,3|4", "--tol", "0"]) == 3
+    path = _file(tmp_path, "cancel", CANCELLING)
+    assert _listed(capsys, "--file", path, "--tol", "0") == ["1,2,3,4", "1,3|2,4"]
+    assert main(["check", "--file", path, "--partition", "1,2,3|4", "--tol", "0"]) == 3
     assert "consistent: no" in capsys.readouterr().out
 
 
@@ -235,19 +249,17 @@ def test_negative_zero_tolerance_is_reported_as_zero():
     assert all(value == 0.0 and math.copysign(1.0, value) == 1.0 for value in used)
 
 
-# -- products of group sums ----------------------------------------------------
+# -- products of group sums, judged exactly ---------------------------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the kernel's product of two group sums, or of their moduli, underflows "
-    "to 0 below about 1e-308, so a nonzero entry reads as 0",
-)
+ENTRY_BELOW_RANGE = [1, -1, 1e-200, 1e-200]
+
+
 def test_an_off_diagonal_entry_below_the_double_range_still_breaks_consistency():
     # Exactly, {3} and {4} each sum to 1e-200, so conj(c_4) c_3 is about
     # 1e-400 times the scale, not 0; only {1,2} cancels, leaving 1,2,3,4 and
     # 1,2|3,4.
-    scenario = make_scenario([1, -1, 1e-200, 1e-200])
+    scenario = make_scenario(ENTRY_BELOW_RANGE)
     model = build_experiment(scenario)
     for mode in MODES:
         assert not check_consistency(model, parse_partition("1,2|3|4", 4), mode=mode, tolerance=0.0).consistent
@@ -255,15 +267,13 @@ def test_an_off_diagonal_entry_below_the_double_range_still_breaks_consistency()
         assert [format_partition(f.partition) for f in frameworks] == ["1,2,3,4", "1,2|3,4"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the correctly rounded group sums are not the exact sums, and the real "
-    "part of their product is not 0",
-)
+ROUNDED_SUMS = [2.0**53, 1, 1j, 2.0**53 - 1, -(2.0**106) * 1j, 1j]
+
+
 def test_a_weak_split_orthogonal_only_on_exact_sums_is_consistent_at_zero_tolerance():
     # Exactly, {1,2,3} sums to (2^53 + 1) + 1i and {4,5,6} to (2^53 - 1) +
     # (1 - 2^106)i, so Re(conj(s_B) s_A) = (2^106 - 1) + (1 - 2^106) = 0.
-    scenario = make_scenario([2.0**53, 1, 1j, 2.0**53 - 1, -(2.0**106) * 1j, 1j])
+    scenario = make_scenario(ROUNDED_SUMS)
     model = build_experiment(scenario)
     partition = parse_partition("1,2,3|4,5,6", 6)
     assert check_consistency(model, partition, mode="weak", tolerance=0.0).consistent
@@ -274,17 +284,57 @@ def test_a_weak_split_orthogonal_only_on_exact_sums_is_consistent_at_zero_tolera
 # -- amplitudes far below the largest ------------------------------------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="build_experiment shifts every amplitude by the largest component's exponent, "
-    "so 1e-300 next to 1e308 underflows to exactly 0",
-)
+FAR_BELOW = [1e308, 1e-300, -1e-300]
+
+
 def test_amplitudes_far_below_the_largest_still_break_consistency():
     # Exactly, group {3} sums to -1e-300 and {1,2} to 1e308 + 1e-300, so their
     # product is nonzero; only {2,3} cancels, leaving 1,2,3 and 1|2,3.
-    scenario = make_scenario([1e308, 1e-300, -1e-300])
+    scenario = make_scenario(FAR_BELOW)
     model = build_experiment(scenario)
     for mode in MODES:
         assert not check_consistency(model, parse_partition("1,2|3", 3), mode=mode, tolerance=0.0).consistent
         frameworks = enumerate_consistent_frameworks(model, mode=mode, tolerance=0.0)
         assert [format_partition(f.partition) for f in frameworks] == ["1,2,3", "1|2,3"]
+
+
+# -- the same three through the CLI ---------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_judges_an_entry_below_the_double_range(capsys, tmp_path, mode):
+    path = _file(tmp_path, "below", ENTRY_BELOW_RANGE)
+    assert main(["check", "--file", path, "--partition", "1,2|3|4", "--mode", mode, "--tol", "0"]) == 3
+    assert "consistent: no" in capsys.readouterr().out
+    assert _listed(capsys, "--file", path, "--mode", mode, "--tol", "0") == ["1,2,3,4", "1,2|3,4"]
+
+
+def test_cli_judges_a_weak_split_on_its_exact_sums(capsys, tmp_path):
+    path = _file(tmp_path, "rounded", ROUNDED_SUMS)
+    assert main(["check", "--file", path, "--partition", "1,2,3|4,5,6", "--mode", "weak", "--tol", "0"]) == 0
+    assert "consistent: yes" in capsys.readouterr().out
+    assert "1,2,3|4,5,6" in _listed(capsys, "--file", path, "--mode", "weak", "--tol", "0")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_judges_amplitudes_far_below_the_largest(capsys, tmp_path, mode):
+    path = _file(tmp_path, "far", FAR_BELOW)
+    assert main(["check", "--file", path, "--partition", "1,2|3", "--mode", mode, "--tol", "0"]) == 3
+    assert "consistent: no" in capsys.readouterr().out
+    assert _listed(capsys, "--file", path, "--mode", mode, "--tol", "0") == ["1,2,3", "1|2,3"]
+
+
+def test_a_violation_below_the_double_range_is_reported_above_the_tolerance(capsys, tmp_path):
+    # Exactly, the entry of {3} and {4} is about 1e-400: nonzero, but 0 as a
+    # float.  It is reported as the next float above the tolerance used, here
+    # the least positive double, never as 0 beside an inconsistent verdict.
+    path = _file(tmp_path, "below", ENTRY_BELOW_RANGE)
+    assert main(["check", "--file", path, "--partition", "1,2|3|4", "--tol", "0", "--format", "json"]) == 3
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["consistent"] is False
+    assert (payload["max_violation"], payload["tolerance_used"]) == (5e-324, 0.0)
+    assert main(["check", "--file", path, "--partition", "1,2|3|4", "--tol", "0"]) == 3
+    assert "max violation: 4.94065645841e-324" in capsys.readouterr().out.splitlines()
+    assert main(["query", "--file", path, "--framework", "1,2|3|4", "--event", "3", "--tol", "0"]) == 2
+    assert capsys.readouterr().err == ("chslit: error: partition is not a consistent set in medium mode: "
+                                       "max violation 4.941e-324 exceeds tolerance 0.000e+00\n")

@@ -36,7 +36,6 @@ from chslit import (
     partition_on_paths,
     query_event,
 )
-from chslit.core import _sum_amplitudes
 from conftest import (
     brute_consistent_partitions,
     brute_partitions,
@@ -395,43 +394,31 @@ _JOIN_FAMILIES = ["generic", "planted-low", "planted-high", "planted-across", "e
 
 @pytest.mark.parametrize("kind", _JOIN_FAMILIES)
 def test_near_zero_join_keeps_every_subset_the_kernel_could_accept(kind):
-    # The join must hold every mask whose correctly rounded sum has modulus
-    # at most sqrt(bound), the kernel's own test, and, since its window only
-    # skips pairs, exactly the masks whose joined sum L + R passes |L + R| <=
-    # radius, as a test of every pair would find.  The sum it hands back for
-    # any mask is that L + R, within its slack of the correctly rounded sum.
-    near_zero, subset_sums = chslit.frameworks._near_zero, chslit.frameworks._subset_sums
+    # The join must hold exactly the masks whose exact sum has |S|^2 <= bound,
+    # the census's near-zero test, as a test of every subset would find, and
+    # hand back each mask's exact sum.
+    near_zero = chslit.frameworks._near_zero
     rng = random.Random(f"join:{kind}")
     for k in range(1, 13):
         model = build_experiment(make_scenario(_join_amplitudes(rng, kind, k)))
-        amps = [*model.amplitudes]
-        exact = [_sum_amplitudes(a for j, a in enumerate(amps) if mask >> j & 1) for mask in range(1 << k)]
-        h = k // 2
-        low, high = subset_sums(amps[:h]), subset_sums(amps[h:])
+        points, norm = model._gaussian
+        exact = [(sum(p for j, (p, _) in enumerate(points) if mask >> j & 1),
+                  sum(q for j, (_, q) in enumerate(points) if mask >> j & 1)) for mask in range(1 << k)]
         for factor, tolerance in product((1, 2), (0.0, 1e-10, 1e-3, 0.3)):
-            bound = factor * tolerance * (1.0 + 1e-9) / model.scale
-            near, sum_of, slack = near_zero(amps, bound)
-            assert {mask for mask, s in enumerate(exact) if abs(s) <= math.sqrt(bound)} <= near, (k, factor, tolerance)
-            radius = math.sqrt(bound) + slack
-            pairs = {lo | hi << h for lo, l in enumerate(low) for hi, r in enumerate(high) if abs(l + r) <= radius}
-            assert near == pairs, (k, factor, tolerance)
-        for lo, hi in product(range(len(low)), range(len(high))):
-            joined = sum_of(lo | hi << h)
-            assert joined == low[lo] + high[hi] and abs(joined - exact[lo | hi << h]) <= slack, (k, lo, hi)
+            t, u = tolerance.as_integer_ratio()
+            bound = factor * t * k * norm // u
+            near, sum_of = near_zero([*points], bound)
+            assert near == {mask for mask, (p, q) in enumerate(exact) if p * p + q * q <= bound}, (k, factor, tolerance)
+        assert [*map(sum_of, range(1 << k))] == exact, k
 
 
-def test_near_zero_join_keeps_a_pair_whose_sum_rounds_onto_the_radius():
-    # With radius 1, the low sum x = 1 - 2**-53 and the high sum y = 3 *
-    # 2**-54 add to 1 + 2**-54, which rounds to 1: the pair passes.  But
-    # -y + 1 rounds down to 1 - 2**-52, below x, so a window that is not
-    # widened for rounding would skip it.  The slack does not depend on the
-    # bound.
-    amps = [complex(1 - 2**-53), complex(3 * 2**-54)]
-    _, _, slack = chslit.frameworks._near_zero(amps, 0.0)
-    bound = (1 - slack) ** 2
-    assert math.sqrt(bound) + slack == 1.0
-    near, sum_of, _ = chslit.frameworks._near_zero(amps, bound)
-    assert 0b11 in near and sum_of(0b11) == 1.0
+def test_near_zero_join_keeps_a_pair_whose_sum_lies_on_the_radius():
+    # The low sums are 0 and 5 and the high sums 0 and -10, so mask 0b11
+    # sums to -5: its low sum sits on the end of the window [5, 15] of
+    # isqrt(25) = 5 around 10, and |S|^2 = 25 is on the bound.
+    near, sum_of = chslit.frameworks._near_zero([(5, 0), (-10, 0)], 25)
+    assert near == {0b00, 0b01, 0b11} and sum_of(0b11) == (-5, 0)
+    assert chslit.frameworks._near_zero([(5, 0), (-10, 0)], 24)[0] == {0b00}
 
 
 def test_no_table_of_every_subset_sum_is_built(monkeypatch):
