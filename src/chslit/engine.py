@@ -74,9 +74,9 @@ class ExperimentModel(_Entity, namedtuple("ExperimentModel", "scenario amplitude
     @cached_property
     def _gaussian(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """Each amplitude ``(p + iq) 2**E``, ``E`` the least exponent, as ``(p, q)``; and ``N = sum p^2 + q^2``."""
-        split = [math.frexp(c) for a in self.scenario.amplitudes for c in (a.real, a.imag)]
-        least = min(e for m, e in split if m)
-        ints = iter([int(m * 2.0**53) << (e - least) if m else 0 for m, e in split])
+        parts = [c for a in self.scenario.amplitudes for c in (a.real, a.imag)]
+        least = math.frexp(min(filter(None, map(abs, parts))))[1]  # the smallest nonzero part's
+        ints = iter([int(m * 2.0**53) << (e - least) if m else 0 for m, e in map(math.frexp, parts)])
         return (points := tuple(zip(ints, ints))), sum(p * p + q * q for p, q in points)
 
     def group_projector(self, group: Iterable[int]):
