@@ -129,7 +129,12 @@ def _check_mode_and_tolerance(mode: str, tolerance: float) -> float:
     if mode not in MODES:
         raise ValueError(f"unknown consistency mode {mode!r}")
     # A comparison, not float(): an int may exceed the double range.  A bool is no number.
-    if isinstance(tolerance, bool) or not hasattr(tolerance, "__float__") or not 0 <= tolerance <= sys.float_info.max:
+    try:
+        valid = (not isinstance(tolerance, bool) and hasattr(tolerance, "__float__")
+                 and 0 <= tolerance <= sys.float_info.max)
+    except ArithmeticError:  # a Decimal NaN raises where a float NaN compares false
+        valid = False
+    if not valid:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     return abs(float(tolerance))  # -0 passes the test above; report it as 0
 
@@ -189,11 +194,21 @@ def _settle(state: tuple, scale: float, tolerance: float, ratio: tuple, mode: st
     X, Y)``, judged on its integers with ``tolerance = t / u`` (``ratio``):
     medium mode needs ``X Y u^2 <= (t D)^2``, weak mode ``X u <= t D``.  A
     float violation on the other side of the tolerance used (one below the
-    double range reads 0) is reported as the nearest float on the verdict's side."""
+    double range reads 0) is reported as the nearest float on the verdict's side.
+
+    A product of four positive integers whose bit lengths sum to ``L`` lies
+    in ``[2^(L-4), 2^L)``, so the medium test first compares those sums, ``A``
+    for ``X Y u^2`` and ``B`` for ``(t D)^2``, and multiplies only when they
+    differ by less than 4: across the double range the products have
+    thousands of bits."""
     ((d, largest), (x, worst), y), (t, u) = state, ratio
     if mode == MODE_MEDIUM:
         y, second = y
-        consistent = not y or x * y * u * u <= (t * d) ** 2
+        consistent = True
+        if y:
+            a = x.bit_length() + y.bit_length() + 2 * u.bit_length()
+            b = 2 * (t.bit_length() + d.bit_length())
+            consistent = t > 0 and (a <= b - 4 or a < b + 4 and x * y * u * u <= (t * d) ** 2)
         worst *= second
     else:
         consistent = not x or x * u <= t * d

@@ -402,23 +402,23 @@ def combine_queries(framework_a: Framework, framework_b: Framework) -> Framework
     )
 
 
-#: Events of one framework as ``(path mask, event, probability)``.
+#: Events of one framework as ``(position mask, event, probability)``.
 _Events = list[tuple[int, frozenset[int], float]]
 
 
-def _clash_summary(masks: Sequence[int], detected: Sequence[float]):
-    """``(core, span, detected, total, masks)`` for a candidate whose groups
-    have path masks ``masks`` and detected terms ``detected`` (the floats of
-    its framework's table), or None when detection is a null event.
+def _clash_key(masks: Sequence[int], detected: list[float]) -> tuple[int, int] | None:
+    """``(core, span)`` of a candidate whose groups have open-position masks
+    ``masks`` and detected terms ``detected`` (the floats of its framework's
+    table), or None when detection is a null event.
 
     An event's conditional probability is the correctly rounded sum of its
-    groups' non-negative terms, divided once by ``total``, as in
+    groups' non-negative terms, divided once by their total, as in
     :func:`query_event`: it never falls as groups are added, so certain
     events are closed upward and null events downward.  Hence every
-    certain event contains ``core``, the paths of the groups G for which
+    certain event contains ``core``, the positions of the groups G for which
     "every group but G" is not certain (it is when G's term is 0), and every
-    null event lies inside ``span``, the paths of the groups null on their
-    own.  The bounds use the same sums as the events, so they are exact.
+    null event lies inside ``span``, the positions of the groups null on
+    their own.  The bounds use the same sums as the events, so they are exact.
     """
     total = math.fsum(detected)
     if total <= NULL_CONDITION:
@@ -428,21 +428,25 @@ def _clash_summary(masks: Sequence[int], detected: Sequence[float]):
         if p and math.fsum(detected[:g] + detected[g + 1 :]) / total < CERTAINTY_THRESHOLD
     )
     span = sum(m for m, p in zip(masks, detected) if p / total <= NULL_THRESHOLD)
-    return core, span, detected, total, masks
+    return core, span
 
 
-def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Events, _Events]:
-    """The certain and the null group-union events of a summarised framework,
-    as ``(path mask, event(path mask), probability)`` in the order of the
-    unions' group tuples: by size, then lexicographically.  A null event
-    carries the complement of its path mask instead, so that a certain event
-    lies inside it exactly when their masks are disjoint.
+def _clash_events(masks: Sequence[int], detected: list[float], key: tuple[int, int], event: Callable) -> tuple:
+    """``(certain, null, core, ~span)`` of a candidate keyed ``key`` by
+    :func:`_clash_key`: its certain and null group-union events as ``(mask,
+    event(mask), probability)``, in the order of the unions' group tuples, by
+    size, then lexicographically, and each list's floor, the AND of its masks.
+    A null event carries its mask's complement, so that a certain event lies
+    inside it exactly when their masks are disjoint.
 
-    Certain events are the groups in ``core`` plus any others, null events
-    any non-empty union of groups inside ``span``.  Adding the same groups to
-    every tuple keeps their order, so both lists are in that order.
+    Certain events are the groups in ``core`` plus any others, null events any
+    non-empty union of groups inside ``span``; adding the same groups to every
+    tuple keeps their order.  ``core`` is the AND of the certain masks, since
+    for a group G outside it "every group but G" is certain, and ``~span`` that
+    of the null ones, since each group inside ``span`` is a null event.
     """
-    core, span, detected, total, masks = summary
+    core, span = key
+    total = math.fsum(detected)
 
     def unions(fixed: list[int], pool: list[int], keep: Callable[[float], bool]) -> _Events:
         # The empty union is never certain, and no null event.
@@ -462,7 +466,7 @@ def _clash_events(summary, event: Callable[[int], frozenset[int]]) -> tuple[_Eve
     inside = [g for g, m in enumerate(masks) if m & span]
     # Certain events have p >= CERTAINTY_THRESHOLD, null events p <= NULL_THRESHOLD.
     null = [(~mask, e, p) for mask, e, p in unions([], inside, NULL_THRESHOLD.__ge__)]
-    return unions(fixed, free, CERTAINTY_THRESHOLD.__le__), null
+    return unions(fixed, free, CERTAINTY_THRESHOLD.__le__), null, core, ~span
 
 
 def _may_clash(key_a: tuple[int, int], key_b: tuple[int, int]) -> bool:
@@ -489,33 +493,24 @@ def find_contradictions(
     disjoint certainties, then a's certainties in b's null events, then b's
     in a's.
 
-    The search reads the compact candidates of :func:`_census`, not
-    frameworks.  A candidate's :func:`_clash_summary` comes from its group
-    masks and their detected terms, candidates are bucketed by its ``(core,
-    span)`` key, and only pairs from buckets that pass :func:`_may_clash`
-    are visited, so the cost follows the pairs that can clash, not all pairs.
-    A candidate's events are tabulated when it first sits in a visited
-    pair, its framework is assembled when a record first names it, clashes
-    are tested on path masks, and each event set is built once per mask.
-    The key also gives each event list its floor, the AND of its masks:
-    ``core`` is exactly the paths in every certain event, since for a group
-    G outside it "every group but G" is certain, and ``~span`` exactly the
-    paths outside every null event, since each group inside it is a null
-    event.  A certain event that meets the other list's floor meets every
-    mask in it, so it is dropped before its inner loop.
+    The search reads the compact candidates of :func:`_census` in its own
+    terms, group masks of open positions: candidates are bucketed by their
+    :func:`_clash_key`, and only pairs from buckets that pass
+    :func:`_may_clash` are visited, so the cost follows the pairs that can
+    clash.  A candidate's :func:`_clash_events` are tabulated when it first
+    sits in a visited pair, and its framework is assembled when a record
+    first names it.  Each event's set of path indices is built once per mask.
+    A certain event that meets the other list's floor meets every mask in it,
+    so it is dropped before its inner loop.
     """
     candidates, record, assemble = _census(model, mode, tolerance, max_paths)
-    # A group mask of open positions as its mask of path indices, which
-    # differ where a slit is closed, and its detected term.
-    open_indices = model.scenario.open_indices
-    group = _Memo(lambda mask: (sum(1 << i for j, i in enumerate(open_indices) if mask >> j & 1), record[mask][1][2]))
-    judged = []
+    candidates.reverse()  # into enumeration order
+    detected = lambda masks: [record[m][1][2] for m in masks]
+    keys = [_clash_key(masks, detected(masks)) for _, masks, _, _ in candidates]
     buckets: dict[tuple[int, int], list[int]] = {}
-    for candidate in reversed(candidates):
-        summary = _clash_summary(*zip(*map(group.__getitem__, candidate[1])))
-        if summary is not None:
-            buckets.setdefault(summary[:2], []).append(len(judged))
-            judged.append((candidate, summary))
+    for i, key in enumerate(keys):
+        if key is not None:
+            buckets.setdefault(key, []).append(i)
     # Every pair i < j from buckets, keyed a and b, that can clash, in the
     # order of itertools.combinations.
     pairs: list[tuple[int, int]] = []
@@ -524,17 +519,16 @@ def find_contradictions(
             pairs += [(i, j) if i < j else (j, i) for i in buckets[a] for j in buckets[b] if i < j or a != b]
     pairs.sort()
 
-    event = _Memo(lambda mask: frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
-    # Each visited framework's events, with the floors of the lists tested
-    # against them: the AND of its certain masks, core, and of its null
-    # events' complemented masks, ~span.
-    events = _Memo(lambda i: (*_clash_events(judged[i][1], event.__getitem__), judged[i][1][0], ~judged[i][1][1]))
+    # Path indices differ from open positions where a slit is closed.
+    open_indices = model.scenario.open_indices
+    event = _Memo(lambda mask: frozenset(i for j, i in enumerate(open_indices) if mask >> j & 1))
+    events = _Memo(lambda i: _clash_events(masks := candidates[i][1], detected(masks), keys[i], event.__getitem__))
     # A framework is assembled when a record first names it, and kept in
     # ``built``: a list, as a record reads it more cheaply than a dict.
-    built: list[Framework | None] = [None] * len(judged)
+    built: list[Framework | None] = [None] * len(candidates)
 
     def framework(i: int) -> Framework:
-        built[i] = assembled = assemble([judged[i][0]])[0]
+        built[i] = assembled = assemble([candidates[i]])[0]
         return assembled
 
     # ContradictionRecord checks nothing (its contract test pins that it has

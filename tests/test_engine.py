@@ -7,8 +7,11 @@ shares none of its code.
 
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
+from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -418,6 +421,25 @@ def test_the_folded_verdict_does_not_depend_on_the_order_of_the_groups(amplitude
             assert settle(order, mode) == want, (mode, order)
 
 
+def test_medium_verdict_read_off_bit_lengths_equals_the_products():
+    # Sizes X >= Y, the largest diagonal D and tolerance t / u, as integers
+    # of 8 to 4,000 bits; half the draws put (t D)^2 within a few units of
+    # X Y u^2, the others put the two sides' bit lengths within 8 of each
+    # other, and some have t = 0.
+    rng = random.Random(4000)
+    bits = lambda n: rng.getrandbits(n) | 1 << (n - 1)
+    for _ in range(20_000):
+        y, x, u = sorted(bits(rng.randint(8, 4000)) for _ in range(2)) + [bits(rng.randint(8, 4000))]
+        t = 0 if rng.random() < 0.02 else bits(rng.randint(8, 4000))
+        if t and rng.random() < 0.5:
+            d = max(1, math.isqrt(x * y * u * u) // t + rng.randint(-2, 2))
+        else:
+            a = x.bit_length() + y.bit_length() + 2 * u.bit_length()
+            d = bits(max(1, (a + rng.randint(-8, 8)) // 2 - t.bit_length()))
+        consistent, _, _ = _settle(((d, 1.0), (x, 1.0), (y, 1.0)), 1.0, 1.0, (t, u), "medium")
+        assert consistent == (x * y * u * u <= (t * d) ** 2), (x, y, u, t, d)
+
+
 def test_medium_consistency_implies_weak():
     rng = random.Random(77)
     for _ in range(40):
@@ -706,6 +728,9 @@ def test_zero_tolerance_keeps_exact_cancellations():
         pytest.param(True, id="bool"),
         pytest.param("1e-3", id="string"),
         pytest.param(None, id="none"),
+        # Comparing a Decimal NaN raises InvalidOperation instead of giving False.
+        pytest.param(Decimal("NaN"), id="decimal-nan"),
+        pytest.param(Decimal("sNaN"), id="decimal-snan"),
     ],
 )
 def test_tolerance_must_be_finite_and_non_negative(tolerance):
@@ -719,6 +744,14 @@ def test_tolerance_must_be_finite_and_non_negative(tolerance):
         enumerate_consistent_frameworks(model, tolerance=tolerance)
     with pytest.raises(ValueError, match=message):
         find_contradictions(model, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [Fraction(1, 10**12), Decimal("1e-10")], ids=["fraction", "decimal"])
+def test_exact_number_types_are_tolerances(tolerance):
+    model = build_experiment(THREE_SLIT)
+    report = check_consistency(model, SPLIT_12_3, tolerance=tolerance)
+    assert tuple(report) == tuple(check_consistency(model, SPLIT_12_3, tolerance=float(tolerance)))
+    assert len(enumerate_consistent_frameworks(model, tolerance=tolerance)) == 3
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300, complex(0.6, -0.8) * 1e250])

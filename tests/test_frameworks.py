@@ -739,7 +739,7 @@ def test_contradictions_equal_the_all_pairs_search_when_a_group_is_neither_certa
         for tolerance in (1e-3, 0.3):
             tabulated.clear()
             got = [_record_fields(r) for r in find_contradictions(model, mode=mode, tolerance=tolerance)]
-            assert got and any(not null for _, null in tabulated)
+            assert got and any(not null for _, null, _, _ in tabulated)
             assert got == [_record_fields(r) for r in brute_contradictions(model, mode, tolerance)]
 
 
@@ -778,11 +778,10 @@ def test_clash_floors_are_the_bucket_key(kind):
     # masks and reads that AND off the (core, span) key: certain events are
     # closed upward and null events downward, so the AND of the certain
     # masks is core and the AND of the complemented null masks is ~span.
-    # The summary reads a census candidate: its groups' path masks and the
-    # per-mask detected terms, the floats its framework's table holds.
+    # The key reads a census candidate: its groups' open-position masks and
+    # the per-mask detected terms, the floats its framework's table holds.
     frameworks = chslit.frameworks
-    clash_summary, clash_events = frameworks._clash_summary, frameworks._clash_events
-    mask_of = lambda group: sum(1 << i for i in group)
+    clash_key, clash_events = frameworks._clash_key, frameworks._clash_events
     event = lambda mask: mask
     models = [build_experiment(_family_scenario(random.Random(f"clash:{kind}"), kind, n)) for n in range(1, 7)]
     runs = [(model, mode, tolerance) for model in models
@@ -798,11 +797,12 @@ def test_clash_floors_are_the_bucket_key(kind):
             groups = framework.partition.groups
             detected = [record[m][1][2] for m in candidate[1]]
             assert detected == [framework.probabilities[(g, "detected")] for g in groups]
-            summary = clash_summary([*map(mask_of, groups)], detected)
-            if summary is None:
+            key = clash_key(candidate[1], detected)
+            if key is None:
                 continue
-            core, span = summary[:2]
-            certain, null = clash_events(summary, event)
+            core, span = key
+            certain, null, *floors = clash_events(candidate[1], detected, key, event)
+            assert floors == [core, ~span]
             assert functools.reduce(operator.and_, [m for m, _, _ in certain]) == core, (mode, tolerance)
             assert functools.reduce(operator.and_, [m for m, _, _ in null], -1) == ~span, (mode, tolerance)
             checked += 1
@@ -823,7 +823,11 @@ def test_contradiction_search_screens_each_certain_event_by_the_floor(monkeypatc
                 drawn[0] += 1
                 yield item
 
-    monkeypatch.setattr(chslit.frameworks, "_clash_events", lambda *a: tuple(map(Counted, clash_events(*a))))
+    def counted(*args):
+        certain, null, *floors = clash_events(*args)
+        return Counted(certain), Counted(null), *floors
+
+    monkeypatch.setattr(chslit.frameworks, "_clash_events", counted)
     for k, records, items in ((5, 243, 876), (7, 33_750, 49_012 + 92_638)):
         drawn[0] = 0
         model = build_experiment(make_scenario([(-1) ** j for j in range(k)]))

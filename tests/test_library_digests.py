@@ -6,8 +6,10 @@
 every float as ``float.hex``) followed, for k <= 7, by what
 ``find_contradictions`` returns (each record's kind, the partitions of its
 two frameworks, its events and its probabilities).  The scenarios are seeded
-by family and k.  A change meant to alter the output regenerates the fixture
-with
+by family and k, the number of slits: every slit is one open path except in
+two families, one closing every third slit and one splitting a slit into
+two parts that cancel.  A change meant to alter the output regenerates the
+fixture with
 
     PYTHONPATH=src python tests/test_library_digests.py
 """
@@ -22,7 +24,9 @@ import random
 import sys
 from pathlib import Path
 
-from chslit import Partition, Slit, SlitScenario, build_experiment, enumerate_consistent_frameworks, find_contradictions
+from chslit import (
+    Partition, Slit, SlitPart, SlitScenario, build_experiment, enumerate_consistent_frameworks, find_contradictions,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "library_digests.json"
 
@@ -34,6 +38,8 @@ SIZES = {
     "alternating": (3, 5, 7),
     "quarter-turn": (4, 6, 8),
     "near-quarter-turn": (4, 6, 7),
+    "alternating-third-closed": (5, 7),
+    "cancelling-parts": (4, 6),
 }
 RUNS = [(mode, tol) for mode in ("medium", "weak") for tol in ("0", "1e-10", "1e-3", "0.3")]
 #: Contradiction records are digested up to this many paths.
@@ -41,7 +47,7 @@ MAX_SEARCH_PATHS = 7
 
 
 def _scenario(family: str, k: int) -> SlitScenario:
-    """A seeded scenario of ``k`` open paths."""
+    """A seeded scenario of ``k`` slits."""
     rng = random.Random(f"library:{family}:{k}")
     amps = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(k)]
     c, d = amps[0], amps[-1]
@@ -61,6 +67,15 @@ def _scenario(family: str, k: int) -> SlitScenario:
         # weak-mode group pairs on both sides of the tolerance.
         level = 10 ** rng.uniform(-11, -1)
         amps = [c * 1j**j * (1 + cmath.rect(level * rng.random(), rng.uniform(-3.2, 3.2))) for j in range(k)]
+    elif family == "alternating-third-closed":
+        # Open positions and path indices part at the first closed slit.
+        slits = [Slit(f"S{j + 1}", c * (-1) ** j, is_open=j % 3 != 2) for j in range(k)]
+        return SlitScenario(name=f"{family}-{k}", slits=slits)
+    elif family == "cancelling-parts":
+        # Alternating slits, the second of amplitude 0 split into paths d and -d.
+        slits = [Slit(f"S{j + 1}", c * (-1) ** j) for j in range(k)]
+        slits[1] = Slit("S2", 0j, parts=[SlitPart("a", d), SlitPart("b", -d)])
+        return SlitScenario(name=f"{family}-{k}", slits=slits)
     return SlitScenario(name=f"{family}-{k}", slits=tuple(Slit(f"S{j + 1}", a) for j, a in enumerate(amps)))
 
 
