@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -24,7 +25,7 @@ from chslit import (
     parse_scenario_partition,
     save_scenario,
 )
-from chslit.cli import main
+from chslit.cli import build_parser, main
 from conftest import make_scenario
 
 DEMO = ["--demo", "three-slit-contradiction"]
@@ -452,6 +453,104 @@ def test_invalid_choice_message_is_worded_by_chslit(capsys, argv, message):
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "check", *DEMO, "--partition", "1,2|3", "--plot")
     assert code == 2
+
+
+# Each action as (option strings, dest, default, required, choices, nargs,
+# metavar, help, name of its type).
+_HELP = (["-h", "--help"], "help", argparse.SUPPRESS, False, None, 0, None, "show this help message and exit", None)
+_SOURCE = [
+    (["--file"], "file", None, False, None, None, None, "path to a scenario JSON document", None),
+    (["--demo"], "demo", None, False, ["three-slit-contradiction", "two-slit-footnote", "generic"], None, None,
+     "built-in scenario", None),
+]
+_MAX_N = (["--max-n"], "max_n", None, False, None, None, None,
+          "enumeration cap on open paths (default 12, or $CH_MAX_PATHS)", "_path_cap")
+_JUDGE = [
+    (["--mode"], "mode", "medium", False, ["weak", "medium"], None, None,
+     "consistency condition: full off-diagonal (medium) or real part only (weak)", None),
+    (["--tol"], "tol", 1e-10, False, None, None, None,
+     "relative consistency tolerance, finite and non-negative (default 1e-10)", "_tolerance"),
+]
+_FORMAT = (["--format"], "format", "text", False, ["text", "json"], None, None, "output format", None)
+_JUDGED = {"mode": "medium", "tol": 1e-10}
+
+# Each parser as (description, actions, the --file/--demo group, the defaults
+# that main reads), keyed by prog.
+_PARSER_CONTRACT = {
+    "chslit": ("Consistent-histories analysis of multi-slit scenarios.", [
+        _HELP,
+        ([], "command", None, True, ["check", "frameworks", "query", "contradictions", "rates"], "A...", None, None,
+         None),
+    ], [], {}),
+    "chslit check": (None, [
+        _HELP, *_SOURCE,
+        (["--partition"], "partition", None, True, None, None, None,
+         "groups of 1-based open-path positions, e.g. '1,2|3'", None),
+        *_JUDGE, _FORMAT,
+    ], [(True, ["--file", "--demo"])],
+        {"handler": "_cmd_check", "render": "_check_text", "kind": "consistency", **_JUDGED}),
+    "chslit frameworks": (None, [_HELP, *_SOURCE, _MAX_N, *_JUDGE, _FORMAT], [(True, ["--file", "--demo"])],
+                          {"handler": "_cmd_frameworks", "render": "_frameworks_text", "kind": "frameworks", **_JUDGED}),
+    "chslit query": (
+        "Ask for the probability of a path event inside a single consistent framework. Answers are relative to the "
+        "chosen analysis: different frameworks may assign different certainties to a detected particle's path, and "
+        "the tool will not say which path was 'really' taken or combine answers across incompatible frameworks.", [
+            _HELP, *_SOURCE,
+            (["--framework"], "framework", None, True, None, None, None, "partition text defining the analysis", None),
+            (["--event"], "event", None, True, None, None, None,
+             "comma-separated 1-based open-path positions, e.g. '2,3'", None),
+            (["--given-detected"], "given_detected", False, False, None, 0, None, "condition on the detector firing",
+             None),
+            (["--and"], "and_query", None, False, None, None, "EVENT@PARTITION",
+             "second framework-tagged query; the conjunction is answered only when the two frameworks share a context",
+             None),
+            *_JUDGE, _FORMAT,
+        ], [(True, ["--file", "--demo"])],
+        {"handler": "_cmd_query", "render": "_query_text", "kind": "query", **_JUDGED}),
+    "chslit contradictions": (None, [_HELP, *_SOURCE, _MAX_N, *_JUDGE, _FORMAT], [(True, ["--file", "--demo"])],
+                              {"handler": "_cmd_contradictions", "render": "_contradictions_text",
+                               "kind": "contradictions", **_JUDGED}),
+    "chslit rates": (None, [
+        _HELP, *_SOURCE,
+        (["--mask"], "mask", None, False, None, None, None,
+         "comma-separated 1-based path indices to hold open, e.g. '1,2,3'", None),
+        (["--all-single"], "all_single", False, False, None, 0, None,
+         "also print each single-path rate and the interference deficit", None),
+        _FORMAT,
+    ], [(True, ["--file", "--demo"])],
+        {"handler": "_cmd_rates", "render": "_rates_text", "kind": "rates", "mode": None, "tol": None}),
+}
+
+
+def test_the_parser_declares_each_command_and_option_as_documented():
+    # Read from argparse's declarations, not from --help, whose layout
+    # changes with the Python version and the terminal width.
+    parser = build_parser()
+    (commands,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    assert [(choice.dest, choice.help) for choice in commands._choices_actions] == [
+        ("check", "check one partition for consistency"),
+        ("frameworks", "enumerate all consistent frameworks"),
+        ("query", "probability of a path event within one framework"),
+        ("contradictions", "search framework pairs for clashing certainties"),
+        ("rates", "counting rates for hypothetical open masks"),
+    ]
+    declared = {}
+    for each in (parser, *commands.choices.values()):
+        actions = [
+            (action.option_strings, action.dest, action.default, action.required,
+             None if action.choices is None else list(action.choices), action.nargs, action.metavar, action.help,
+             getattr(action.type, "__name__", None))
+            for action in each._actions
+        ]
+        groups = [(group.required, [flag for action in group._group_actions for flag in action.option_strings])
+                  for group in each._mutually_exclusive_groups]
+        # What parse_args leaves in the namespace: an action's default wins
+        # over a parser-level one for the same dest.
+        values = {**each._defaults, **{action.dest: action.default for action in each._actions}}
+        defaults = {name: getattr(values[name], "__name__", values[name])
+                    for name in ("handler", "render", "kind", "mode", "tol") if name in values}
+        declared[each.prog] = (each.description, actions, groups, defaults)
+    assert declared == _PARSER_CONTRACT
 
 
 def test_json_reports_share_the_envelope(capsys):
