@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .core import (
     SlitScenario,
@@ -42,6 +42,7 @@ from .errors import (
 )
 from .frameworks import (
     DEFAULT_MAX_PATHS,
+    ContradictionRecord,
     Framework,
     build_framework,
     combine_queries,
@@ -72,12 +73,6 @@ def _braces(items: Sequence[object]) -> str:
 
 def _fail(message: str) -> None:
     print(f"chslit: error: {message}", file=sys.stderr)
-
-
-def _load_source(args: argparse.Namespace) -> SlitScenario:
-    if args.demo is not None:
-        return builtin_scenario(args.demo)
-    return load_scenario(Path(args.file).read_bytes())
 
 
 def _parsed(flag: str, parse: Callable[..., object], *args: object) -> object:
@@ -127,9 +122,7 @@ def _path_cap(text: str) -> int:
 def _max_paths(args: argparse.Namespace) -> int:
     if args.max_n is not None:
         return args.max_n
-    raw = os.environ.get(MAX_PATHS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_PATHS
+    raw = os.environ.get(MAX_PATHS_ENV, str(DEFAULT_MAX_PATHS))
     try:
         return _path_cap(raw)
     except argparse.ArgumentTypeError:
@@ -159,18 +152,19 @@ def _cmd_frameworks(args: argparse.Namespace, scenario: SlitScenario) -> tuple[i
         model, mode=args.mode, tolerance=args.tol, max_paths=_max_paths(args)
     )
     tag, describe = _namers(scenario)
-    rows = []
-    for framework in frameworks:
+
+    def row(framework: Framework) -> dict[str, object]:
         probabilities = []
         for (group, branch), probability in framework.probabilities.items():
             positions, labels = describe(group)
             probabilities.append({"group": positions, "labels": labels, "branch": branch, "probability": probability})
-        rows.append({
+        return {
             "partition": tag(framework.partition),
             "detected_probability": framework.detected_total(),
             "probabilities": probabilities,
-        })
-    return EXIT_OK, {"count": len(frameworks), "frameworks": rows}
+        }
+
+    return EXIT_OK, {"count": len(frameworks), "frameworks": map(row, frameworks)}
 
 
 def _cmd_query(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, object]]:
@@ -206,11 +200,11 @@ def _cmd_contradictions(args: argparse.Namespace, scenario: SlitScenario) -> tup
     model = build_experiment(scenario)
     records = find_contradictions(model, mode=args.mode, tolerance=args.tol, max_paths=_max_paths(args))
     tag, describe = _namers(scenario)
-    rows = []
-    for record in records:
+
+    def row(record: ContradictionRecord) -> dict[str, object]:
         event_a, labels_a = describe(record.event_a)
         event_b, labels_b = describe(record.event_b)
-        rows.append({
+        return {
             "kind": record.kind,
             "framework_a": tag(record.framework_a.partition),
             "event_a": event_a,
@@ -220,8 +214,9 @@ def _cmd_contradictions(args: argparse.Namespace, scenario: SlitScenario) -> tup
             "event_b": event_b,
             "labels_b": labels_b,
             "p_b": record.p_b,
-        })
-    return EXIT_OK, {"count": len(records), "records": rows}
+        }
+
+    return EXIT_OK, {"count": len(records), "records": map(row, records)}
 
 
 def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, dict[str, object]]:
@@ -229,11 +224,10 @@ def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
         raise ValueError("rates needs --mask and/or --all-single")
     payload: dict[str, object] = {}
     if args.mask is not None:
-        mask = sorted(set(_parsed("--mask", _parse_indices, args.mask, scenario.n_paths)))
-        rate = counting_rate(scenario, mask)
+        mask = sorted(_parsed("--mask", _parse_indices, args.mask, scenario.n_paths))
         payload["mask"] = [i + 1 for i in mask]
         payload["mask_labels"] = [scenario.path_label(i) for i in mask]
-        payload["rate"] = rate
+        payload["rate"] = counting_rate(scenario, mask)
     if args.all_single:
         singles = [
             {"path": index + 1, "label": scenario.path_label(index), "rate": counting_rate(scenario, {index})}
@@ -251,101 +245,77 @@ def _cmd_rates(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
     return EXIT_OK, payload
 
 
-# -- text renderers: each prints what its command's payload holds ------------
+# -- text renderers: each yields the lines of what its command's payload holds --
 
 
-def _check_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
-    lines = [
+def _check_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> Iterator[str]:
+    yield from (
         f"scenario: {scenario.name}",
         f"partition: {payload['partition']}",
         f"mode: {mode}",
         f"consistent: {'yes' if payload['consistent'] else 'no'}",
         f"max violation: {_fmt(payload['max_violation'])}",
         f"tolerance used: {_fmt(payload['tolerance_used'])}",
-    ]
+    )
     if payload["offending_pair"] is not None:
-        lines.append("offending pair: %s / %s" % tuple(payload["offending_pair"]))
-    return lines
+        yield "offending pair: %s / %s" % tuple(payload["offending_pair"])
 
 
-def _frameworks_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
+def _frameworks_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> Iterator[str]:
     legend = " ".join(
         f"{j + 1}={scenario.path_label(index)}" for j, index in enumerate(scenario.open_indices)
     )
-    lines = [
+    yield from (
         f"scenario: {scenario.name}",
         f"mode: {mode}",
         f"open paths: {legend}",
         f"consistent frameworks: {payload['count']}",
-    ]
+    )
     for framework in payload["frameworks"]:
-        lines.append(f"framework {framework['partition']}")
+        yield f"framework {framework['partition']}"
         for row in framework["probabilities"]:
-            lines.append(f"  P({_braces(row['group'])}, {row['branch']}) = {_fmt(row['probability'])}")
-    return lines
+            yield f"  P({_braces(row['group'])}, {row['branch']}) = {_fmt(row['probability'])}"
 
 
-def _query_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
+def _query_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> Iterator[str]:
     condition = " | detected" if payload["given_detected"] else ""
     answers = [("In", payload), ("In", payload.get("and")), ("conjunction in", payload.get("conjunction"))]
-    return [
+    return (
         f"{prefix} analysis {answer['framework']}: "
         f"P(went through {_braces(answer['event'])}{condition}) = {_fmt(answer['probability'])}"
         for prefix, answer in answers
         if answer is not None
-    ]
+    )
 
 
-def _contradictions_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
-    lines = [f"scenario: {scenario.name}", f"mode: {mode}"]
+def _contradictions_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> Iterator[str]:
+    yield from (f"scenario: {scenario.name}", f"mode: {mode}")
     for record in payload["records"]:
         joiner = "vs" if record["kind"] == "disjoint-certainty" else "but"
-        lines.append(
+        yield (
             f"{record['kind']}: P({_braces(record['event_a'])} | detected) = {_fmt(record['p_a'])} "
             f"in analysis {record['framework_a']} {joiner} P({_braces(record['event_b'])} | detected) = "
             f"{_fmt(record['p_b'])} in analysis {record['framework_b']}"
         )
-        lines.append(f"  paths {_braces(record['labels_a'])} {joiner} {_braces(record['labels_b'])}")
-    if not payload["records"]:
-        lines.append("no contradictions found")
-    return lines
+        yield f"  paths {_braces(record['labels_a'])} {joiner} {_braces(record['labels_b'])}"
+    if not payload["count"]:
+        yield "no contradictions found"
 
 
-def _rates_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> list[str]:
-    lines = [f"scenario: {scenario.name}"]
+def _rates_text(payload: dict[str, object], scenario: SlitScenario, mode: str | None) -> Iterator[str]:
+    yield f"scenario: {scenario.name}"
     if "mask" in payload:
-        lines.append(f"rate({','.join(map(str, payload['mask']))}) = {_fmt(payload['rate'])}")
+        yield f"rate({','.join(map(str, payload['mask']))}) = {_fmt(payload['rate'])}"
     if "singles" in payload:
-        lines.append("single-path rates:")
+        yield "single-path rates:"
         for single in payload["singles"]:
-            lines.append(f"  {single['label']} (path {single['path']}): {_fmt(single['rate'])}")
-        lines.append(f"sum of singles: {_fmt(payload['singles_total'])}")
-        lines.append(f"all-open rate: {_fmt(payload['all_open_rate'])}")
-        lines.append(f"interference deficit: {_fmt(payload['interference_deficit'])}")
-    return lines
+            yield f"  {single['label']} (path {single['path']}): {_fmt(single['rate'])}"
+        yield f"sum of singles: {_fmt(payload['singles_total'])}"
+        yield f"all-open rate: {_fmt(payload['all_open_rate'])}"
+        yield f"interference deficit: {_fmt(payload['interference_deficit'])}"
 
 
 # -- parser -------------------------------------------------------------------
-
-
-def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--file", help="path to a scenario JSON document")
-    source.add_argument("--demo", choices=BUILTIN_SCENARIOS, help="built-in scenario")
-
-
-def _add_cap_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-n", type=_path_cap, default=None,
-                        help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
-
-
-def _add_common_arguments(parser: argparse.ArgumentParser, with_mode: bool = True) -> None:
-    if with_mode:
-        parser.add_argument("--mode", choices=MODES, default=MODE_MEDIUM,
-                            help="consistency condition: full off-diagonal (medium) or real part only (weak)")
-        parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-                            help="relative consistency tolerance, finite and non-negative (default 1e-10)")
-    parser.add_argument("--format", choices=["text", "json"], default="text", help="output format")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,63 +332,61 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
 
 
+def _add_command(commands, name: str, handler: Callable, render: Callable, kind: str, options: dict[str, dict],
+                 enumerates: bool = False, judges: bool = True, **about: str) -> None:
+    """Declare a subcommand: --file/--demo, ``options`` in order, --max-n if it
+    enumerates, --mode and --tol if it judges (else both are None), --format."""
+    parser = commands.add_parser(name, **about)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--file", help="path to a scenario JSON document")
+    source.add_argument("--demo", choices=BUILTIN_SCENARIOS, help="built-in scenario")
+    for flag, settings in options.items():
+        parser.add_argument(flag, **settings)
+    if enumerates:
+        parser.add_argument("--max-n", type=_path_cap, default=None,
+                            help=f"enumeration cap on open paths (default {DEFAULT_MAX_PATHS}, or ${MAX_PATHS_ENV})")
+    if judges:
+        parser.add_argument("--mode", choices=MODES, default=MODE_MEDIUM,
+                            help="consistency condition: full off-diagonal (medium) or real part only (weak)")
+        parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                            help="relative consistency tolerance, finite and non-negative (default 1e-10)")
+    else:
+        parser.set_defaults(mode=None, tol=None)
+    parser.add_argument("--format", choices=["text", "json"], default="text", help="output format")
+    parser.set_defaults(handler=handler, render=render, kind=kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chslit",
         description="Consistent-histories analysis of multi-slit scenarios.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="check one partition for consistency")
-    _add_source_arguments(check)
-    check.add_argument("--partition", required=True,
-                       help="groups of 1-based open-path positions, e.g. '1,2|3'")
-    _add_common_arguments(check)
-    check.set_defaults(handler=_cmd_check, render=_check_text, kind="consistency")
-
-    frameworks = sub.add_parser("frameworks", help="enumerate all consistent frameworks")
-    _add_source_arguments(frameworks)
-    _add_cap_argument(frameworks)
-    _add_common_arguments(frameworks)
-    frameworks.set_defaults(handler=_cmd_frameworks, render=_frameworks_text, kind="frameworks")
-
-    query = sub.add_parser(
-        "query",
-        help="probability of a path event within one framework",
-        description=(
-            "Ask for the probability of a path event inside a single consistent "
-            "framework. Answers are relative to the chosen analysis: different "
-            "frameworks may assign different certainties to a detected particle's "
-            "path, and the tool will not say which path was 'really' taken or "
-            "combine answers across incompatible frameworks."
-        ),
-    )
-    _add_source_arguments(query)
-    query.add_argument("--framework", required=True, help="partition text defining the analysis")
-    query.add_argument("--event", required=True,
-                       help="comma-separated 1-based open-path positions, e.g. '2,3'")
-    query.add_argument("--given-detected", action="store_true", help="condition on the detector firing")
-    query.add_argument("--and", dest="and_query", default=None, metavar="EVENT@PARTITION",
-                       help="second framework-tagged query; the conjunction is answered only "
-                            "when the two frameworks share a context")
-    _add_common_arguments(query)
-    query.set_defaults(handler=_cmd_query, render=_query_text, kind="query")
-
-    contradictions = sub.add_parser("contradictions", help="search framework pairs for clashing certainties")
-    _add_source_arguments(contradictions)
-    _add_cap_argument(contradictions)
-    _add_common_arguments(contradictions)
-    contradictions.set_defaults(handler=_cmd_contradictions, render=_contradictions_text, kind="contradictions")
-
-    rates = sub.add_parser("rates", help="counting rates for hypothetical open masks")
-    _add_source_arguments(rates)
-    rates.add_argument("--mask", default=None,
-                       help="comma-separated 1-based path indices to hold open, e.g. '1,2,3'")
-    rates.add_argument("--all-single", action="store_true",
-                       help="also print each single-path rate and the interference deficit")
-    _add_common_arguments(rates, with_mode=False)
-    rates.set_defaults(handler=_cmd_rates, render=_rates_text, kind="rates", mode=None, tol=None)
-
+    _add_command(sub, "check", _cmd_check, _check_text, "consistency", {
+        "--partition": dict(required=True, help="groups of 1-based open-path positions, e.g. '1,2|3'"),
+    }, help="check one partition for consistency")
+    _add_command(sub, "frameworks", _cmd_frameworks, _frameworks_text, "frameworks", {}, enumerates=True,
+                 help="enumerate all consistent frameworks")
+    _add_command(sub, "query", _cmd_query, _query_text, "query", {
+        "--framework": dict(required=True, help="partition text defining the analysis"),
+        "--event": dict(required=True, help="comma-separated 1-based open-path positions, e.g. '2,3'"),
+        "--given-detected": dict(action="store_true", help="condition on the detector firing"),
+        "--and": dict(dest="and_query", default=None, metavar="EVENT@PARTITION",
+                      help="second framework-tagged query; the conjunction is answered only "
+                           "when the two frameworks share a context"),
+    }, help="probability of a path event within one framework", description=(
+        "Ask for the probability of a path event inside a single consistent "
+        "framework. Answers are relative to the chosen analysis: different "
+        "frameworks may assign different certainties to a detected particle's "
+        "path, and the tool will not say which path was 'really' taken or "
+        "combine answers across incompatible frameworks."
+    ))
+    _add_command(sub, "contradictions", _cmd_contradictions, _contradictions_text, "contradictions", {},
+                 enumerates=True, help="search framework pairs for clashing certainties")
+    _add_command(sub, "rates", _cmd_rates, _rates_text, "rates", {
+        "--mask": dict(default=None, help="comma-separated 1-based path indices to hold open, e.g. '1,2,3'"),
+        "--all-single": dict(action="store_true", help="also print each single-path rate and the interference deficit"),
+    }, judges=False, help="counting rates for hypothetical open masks")
     return parser
 
 
@@ -429,11 +397,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
-        scenario = _load_source(args)
+        scenario = load_scenario(Path(args.file).read_bytes()) if args.demo is None else builtin_scenario(args.demo)
         code, payload = args.handler(args, scenario)
         if args.format == "json":
+            # Rows come as iterators, made as they are printed.  The JSON
+            # encoder walks a list directly, so they become lists here.
+            rows = {key: list(value) for key, value in payload.items() if isinstance(value, Iterator)}
             report = {"kind": args.kind, "scenario": scenario.name, "mode": args.mode,
-                      "tolerance": args.tol, "payload": payload}
+                      "tolerance": args.tol, "payload": {**payload, **rows}}
             print(json.dumps(report, indent=2))
         else:
             print("\n".join(args.render(payload, scenario, args.mode)))

@@ -187,7 +187,7 @@ class Partition(_Checked, namedtuple("Partition", "groups")):
 
 
 def _parse_indices(text: str, count: int) -> list[int]:
-    """Comma-separated 1-based numbers in 1..count, as 0-based indices."""
+    """Comma-separated distinct 1-based numbers in 1..count, as 0-based indices."""
     indices = []
     for token in text.split(","):
         token = token.strip()
@@ -199,6 +199,8 @@ def _parse_indices(text: str, count: int) -> list[int]:
             raise BadIndex(f"cannot parse path index {token!r}") from None
         if not 1 <= number <= count:
             raise BadIndex(f"path index {number} out of range 1..{count}")
+        if number - 1 in indices:
+            raise BadIndex(f"path index {number} repeated in {text!r}")
         indices.append(number - 1)
     return indices
 

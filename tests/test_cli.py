@@ -379,7 +379,7 @@ _INDEX_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("value", ["", "x", "9"], ids=["empty", "non-integer", "out-of-range"])
+@pytest.mark.parametrize("value", ["", "x", "9", "3,1,2,3"], ids=["empty", "non-integer", "out-of-range", "repeated"])
 @pytest.mark.parametrize("flag", sorted(_INDEX_FLAGS))
 def test_bad_index_is_one_line_naming_its_flag(capsys, flag, value):
     code, out, err = run(capsys, *_INDEX_FLAGS[flag](value))

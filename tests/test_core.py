@@ -71,6 +71,11 @@ def test_parse_bad_indices(text):
         parse_partition(text, 3)
 
 
+def test_parse_rejects_a_repeated_index_by_name():
+    with pytest.raises(BadIndex, match="path index 3 repeated in '3,1,3'"):
+        parse_partition("3,1,3|2", 3)
+
+
 def test_parse_needs_at_least_one_path():
     with pytest.raises(ValueError, match="got 0"):
         parse_partition("1", 0)
