@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--framework": dict(required=True, help="partition text defining the analysis"),
         "--event": dict(required=True, help="comma-separated 1-based open-path positions, e.g. '2,3'"),
         "--given-detected": dict(action="store_true", help="condition on the detector firing"),
-        "--and": dict(dest="and_query", default=None, metavar="EVENT@PARTITION",
+        "--and": dict(dest="and_query", metavar="EVENT@PARTITION",
                       help="second framework-tagged query; the conjunction is answered only "
                            "when the two frameworks share a context"),
     }, help="probability of a path event within one framework", description=(
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "contradictions", _cmd_contradictions, _contradictions_text, "contradictions", {},
                  enumerates=True, help="search framework pairs for clashing certainties")
     _add_command(sub, "rates", _cmd_rates, _rates_text, "rates", {
-        "--mask": dict(default=None, help="comma-separated 1-based path indices to hold open, e.g. '1,2,3'"),
+        "--mask": dict(help="comma-separated 1-based path indices to hold open, e.g. '1,2,3'"),
         "--all-single": dict(action="store_true", help="also print each single-path rate and the interference deficit"),
     }, judges=False, help="counting rates for hypothetical open masks")
     return parser
