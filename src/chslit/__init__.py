@@ -40,7 +40,6 @@ from .errors import (
     ClosedPathInGroup,
     ConditionUnsatisfied,
     DegenerateDetector,
-    DimensionMismatch,
     EmptyMask,
     InconsistentSet,
     MeaninglessCombination,
@@ -76,11 +75,3 @@ from .scenarios import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # PEP 562: the dense reference model, and numpy with it, loads on first use,
-    # through the engine's one loader (``engine`` is bound by the import above).
-    if name in ("History", "HistorySet", "class_operator_apply", "decoherence_functional", "history_set_for_partition"):
-        return getattr(engine._reference(), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

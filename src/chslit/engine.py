@@ -4,8 +4,8 @@ The model lives in the path basis: one dimension per flattened path,
 identity dynamics, and two time steps per history (which slit group, then
 whether the detector fired).  The initial state is the equal-weight
 superposition over the k open paths; the detector direction is
-``conj(A)/|A|``.  ``chslit.reference`` builds it with explicit projectors,
-as the oracle for the tests.
+``conj(A)/|A|``.  ``chslit.reference`` builds it with explicit projectors
+from an :class:`ExperimentModel`, as the oracle for the tests.
 
 The detector projector is rank one and the path projectors are diagonal, so
 with ``c_G = A_G / (sqrt(k) * |A|)`` the decoherence functional of a
@@ -30,7 +30,6 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import cached_property
 
 from .core import Partition, SlitScenario, _check_covers_open, _Entity, _open_members, _sum_amplitudes
 from .errors import DegenerateDetector, NoOpenPaths
@@ -50,40 +49,18 @@ DEFAULT_TOLERANCE = 1e-10
 NULL_CONDITION = 1e-14
 
 
-def _reference():
-    # Imported on first use, so that no command path loads numpy.
-    from . import reference
-
-    return reference
-
-
-class ExperimentModel(_Entity, namedtuple("ExperimentModel", "scenario amplitudes scale")):
+class ExperimentModel(_Entity, namedtuple("ExperimentModel", "scenario amplitudes scale points norm")):
     """Immutable realization of a scenario: what the closed form reads.
 
     ``amplitudes`` are the path amplitudes times the power of two that puts
     the largest component in [1, 2); with ``scale = 1 / (k * sum |amplitudes|^2)``
-    they give the floats reported, ``|c_G|^2 = |s|^2 * scale`` for a sum ``s``.  The
-    dense members delegate to ``chslit.reference``, the one home of every
-    dense object.  No ``__slots__``: ``psi`` and ``_gaussian`` are cached.
+    they give the floats reported, ``|c_G|^2 = |s|^2 * scale`` for a sum ``s``.
+    ``points`` are the path amplitudes exactly, each ``(p + iq) 2**E`` with
+    ``E`` the least exponent as ``(p, q)``, and ``norm = sum p^2 + q^2``:
+    every verdict is decided on these integers.
     """
 
-    @cached_property
-    def psi(self):
-        return _reference().initial_state(self)
-
-    @cached_property
-    def _gaussian(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        """Each amplitude ``(p + iq) 2**E``, ``E`` the least exponent, as ``(p, q)``; and ``N = sum p^2 + q^2``."""
-        parts = [c for a in self.scenario.amplitudes for c in (a.real, a.imag)]
-        least = math.frexp(min(filter(None, map(abs, parts))))[1]  # the smallest nonzero part's
-        ints = iter([int(m * 2.0**53) << (e - least) if m else 0 for m, e in map(math.frexp, parts)])
-        return (points := tuple(zip(ints, ints))), sum(p * p + q * q for p, q in points)
-
-    def group_projector(self, group: Iterable[int]):
-        return _reference().group_projector(self, group)
-
-    def branch_projector(self, branch: str):
-        return _reference().branch_projector(self, branch)
+    __slots__ = ()
 
 
 def build_experiment(scenario: SlitScenario) -> ExperimentModel:
@@ -101,7 +78,13 @@ def build_experiment(scenario: SlitScenario) -> ExperimentModel:
     shift = 1 - math.frexp(largest)[1]
     amplitudes = tuple(complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift)) for a in scenario.amplitudes)
     norm_sq = math.fsum(abs(a) ** 2 for a in amplitudes)
-    return ExperimentModel(scenario, amplitudes, 1.0 / (scenario.n_open * norm_sq))
+    # From the scenario's amplitudes: the shift above may round a small part, even to 0.
+    parts = [c for a in scenario.amplitudes for c in (a.real, a.imag)]
+    least = math.frexp(min(filter(None, map(abs, parts))))[1]  # the smallest nonzero part's
+    ints = iter([int(m * 2.0**53) << (e - least) if m else 0 for m, e in map(math.frexp, parts)])
+    points = tuple(zip(ints, ints))
+    norm = sum(p * p + q * q for p, q in points)
+    return ExperimentModel(scenario, amplitudes, 1.0 / (scenario.n_open * norm_sq), points, norm)
 
 
 class ConsistencyReport(
@@ -128,15 +111,18 @@ class Framework(_Entity, namedtuple("Framework", "partition mode probabilities r
 def _check_mode_and_tolerance(mode: str, tolerance: float) -> float:
     if mode not in MODES:
         raise ValueError(f"unknown consistency mode {mode!r}")
-    # A comparison, not float(): an int may exceed the double range.  A bool is no number.
+    # A comparison before float(): an int may exceed the double range.  A bool is no number.
     try:
         valid = (not isinstance(tolerance, bool) and hasattr(tolerance, "__float__")
                  and 0 <= tolerance <= sys.float_info.max)
-    except ArithmeticError:  # a Decimal NaN raises where a float NaN compares false
+        value = abs(float(tolerance))  # -0 passes the test above; report it as 0
+    except (ArithmeticError, TypeError, ValueError):
+        # A Decimal NaN raises where a float NaN compares false; an array with
+        # axes compares elementwise, and does not convert to a float.
         valid = False
     if not valid:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    return abs(float(tolerance))  # -0 passes the test above; report it as 0
+    return value
 
 
 def _group_terms(total: complex, exact: tuple[int, int], count: int, k: int, scale: float, norm: int) -> tuple:
@@ -242,8 +228,7 @@ def _verdict(model: ExperimentModel, partition: Partition, mode: str, tolerance:
     """The groups' terms and the kernel's verdict on them."""
     tolerance = _check_mode_and_tolerance(mode, tolerance)
     _check_covers_open(model.scenario, partition)
-    k, scale, amplitudes = model.scenario.n_open, model.scale, model.amplitudes
-    points, norm = model._gaussian
+    k, scale, amplitudes, points, norm = model.scenario.n_open, model.scale, model.amplitudes, model.points, model.norm
     terms = [_group_terms(_sum_amplitudes(amplitudes[i] for i in g), tuple(map(sum, zip(*(points[i] for i in g)))),
                           len(g), k, scale, norm) for g in partition.groups]
     state = _EMPTY[mode]

@@ -39,10 +39,6 @@ class DegenerateDetector(ChslitError):
     """All amplitudes vanish, leaving the detector direction undefined."""
 
 
-class DimensionMismatch(ChslitError):
-    """Projector chains or vectors disagree on Hilbert-space dimension."""
-
-
 class InconsistentSet(ChslitError):
     """Probabilities were requested for a history set that fails consistency."""
 

@@ -216,7 +216,7 @@ def _census(model: ExperimentModel, mode: str, tolerance: float, max_paths: int)
         raise TooLarge(f"{k} open paths exceeds the enumeration cap of {max_paths}")
     scale = model.scale
     amplitudes = [model.amplitudes[i] for i in open_indices]
-    points, norm = model._gaussian
+    points, norm = model.points, model.norm
     # The near-zero subsets as bit masks of open positions: |S|^2 <= m tol k N,
     # with m = 1 carrier in medium mode, 2 in weak mode, and tol = t / u.
     ratio = t, u = tolerance.as_integer_ratio()

@@ -8,9 +8,8 @@ path basis, built from the model's defining rules; ``chslit.engine``
 decides every verdict from the closed form instead, and the tests check the
 two against each other.
 
-This is the only module that imports numpy.  ``import chslit`` loads it
-when one of its names, or a dense member of an ``ExperimentModel``, is
-first used.
+Only this module imports numpy, and no other module of the package imports
+this one, so no command loads numpy; the tests import it by name.
 """
 
 from __future__ import annotations
@@ -22,7 +21,11 @@ import numpy as np
 
 from .core import Partition, _check_covers_open, _Checked, _Entity
 from .engine import BRANCHES, DETECTED, ExperimentModel, _history_label
-from .errors import DimensionMismatch
+from .errors import ChslitError
+
+
+class DimensionMismatch(ChslitError):
+    """Projector chains or vectors disagree on Hilbert-space dimension."""
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -58,7 +61,7 @@ class HistorySet(_Entity, namedtuple("HistorySet", "histories step_families")):
                         raise ValueError(f"projectors {i} and {j} at step {step} are not orthogonal")
 
 
-# -- the dense members of ExperimentModel ---------------------------------------
+# -- the dense model ------------------------------------------------------------
 
 
 def initial_state(model: ExperimentModel) -> np.ndarray:
@@ -121,8 +124,8 @@ def decoherence_functional(model: ExperimentModel, h: History, h2: History) -> c
     """
     if len(h.chain) != len(h2.chain):
         raise DimensionMismatch("histories must share a chain length")
-    branch = class_operator_apply(model, h, model.psi)
-    branch2 = class_operator_apply(model, h2, model.psi)
+    psi = initial_state(model)
+    branch, branch2 = (class_operator_apply(model, history, psi) for history in (h, h2))
     return complex(np.vdot(branch2, branch))
 
 

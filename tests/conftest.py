@@ -19,15 +19,14 @@ from chslit import (
     DETECTED,
     ContradictionRecord,
     ExperimentModel,
-    History,
     Partition,
     Slit,
     SlitScenario,
-    decoherence_functional,
     enumerate_consistent_frameworks,
 )
 from chslit.engine import NULL_CONDITION
 from chslit.frameworks import CERTAINTY_THRESHOLD, NULL_THRESHOLD
+from chslit.reference import History, branch_projector, decoherence_functional, group_projector
 
 TOLERANCE_FLOOR = 1e-14
 
@@ -62,7 +61,7 @@ def brute_partitions(items: Sequence[int]) -> Iterator[list[frozenset[int]]]:
 def partition_gram(model: ExperimentModel, blocks: Sequence[frozenset[int]]) -> list[list[complex]]:
     """Full decoherence-functional matrix over the 2*len(blocks) histories."""
     histories = [
-        History(chain=(model.group_projector(block), model.branch_projector(branch)))
+        History(chain=(group_projector(model, block), branch_projector(model, branch)))
         for branch in BRANCHES
         for block in blocks
     ]

@@ -17,7 +17,6 @@ import pytest
 from chslit import (
     DETECTED,
     UNDETECTED,
-    History,
     MeaninglessCombination,
     NotInFramework,
     Partition,
@@ -25,23 +24,29 @@ from chslit import (
     build_framework,
     builtin_scenario,
     check_consistency,
-    class_operator_apply,
     combine_queries,
     conditional_probability,
     counting_rate,
-    decoherence_functional,
     enumerate_consistent_frameworks,
     enumerate_partitions,
     find_contradictions,
     format_partition,
     group_decoherence_closed_form,
     history_probabilities,
-    history_set_for_partition,
     parse_partition,
     parse_scenario_partition,
     query_event,
 )
 from chslit.cli import main as cli_main
+from chslit.reference import (
+    History,
+    branch_projector,
+    class_operator_apply,
+    decoherence_functional,
+    group_projector,
+    history_set_for_partition,
+    initial_state,
+)
 from conftest import (
     brute_consistent_partitions,
     make_scenario,
@@ -57,8 +62,8 @@ def _passed(name: str) -> None:
 
 
 def _gram(model, partition):
-    histories = history_set_for_partition(model, partition).histories
-    vectors = [class_operator_apply(model, h, model.psi) for h in histories]
+    histories, psi = history_set_for_partition(model, partition).histories, initial_state(model)
+    vectors = [class_operator_apply(model, h, psi) for h in histories]
     m = len(vectors)
     return [[complex(np.vdot(vectors[j], vectors[i])) for j in range(m)] for i in range(m)]
 
@@ -190,8 +195,8 @@ def test_property_suites():
             g1 = frozenset(rng.sample(open_paths, rng.randint(0, len(open_paths))))
             g2 = frozenset(rng.sample(open_paths, rng.randint(0, len(open_paths))))
             branch = rng.choice([DETECTED, UNDETECTED])
-            h1 = History(chain=(model.group_projector(g1), model.branch_projector(branch)))
-            h2 = History(chain=(model.group_projector(g2), model.branch_projector(branch)))
+            h1 = History(chain=(group_projector(model, g1), branch_projector(model, branch)))
+            h2 = History(chain=(group_projector(model, g2), branch_projector(model, branch)))
             want = decoherence_functional(model, h1, h2)
             got = group_decoherence_closed_form(scenario, g1, g2, branch)
             assert abs(got - want) <= 1e-10

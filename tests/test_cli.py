@@ -785,7 +785,8 @@ def _run_every_command(python_flags: list[str], then: str) -> None:
 
 
 def test_every_command_runs_without_numpy():
-    _run_every_command([], "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    _run_every_command([], "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+                           "assert 'chslit.reference' not in sys.modules, 'the reference model was imported'\n")
 
 
 def test_every_command_runs_without_dataclasses_inspect_or_typing():

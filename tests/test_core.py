@@ -31,7 +31,6 @@ from chslit import (
     Slit,
     SlitPart,
     SlitScenario,
-    build_experiment,
     counting_rate,
     format_partition,
     format_scenario_partition,
@@ -312,50 +311,44 @@ def test_partition_resolution_rejects_wrong_universe():
 
 # -- public surface ---------------------------------------------------------------
 
-#: Every public name ``chslit`` exports, the dense reference names included.
-#: A change to the public surface has to change this set.
+#: Every public name ``chslit`` exports; the dense reference model is
+#: imported from ``chslit.reference``.  A change to the public surface has
+#: to change this set.
 PUBLIC_NAMES = {
     "AlreadyRefined", "BadIndex", "BRANCHES", "build_experiment", "build_framework", "builtin_scenario",
-    "BUILTIN_SCENARIOS", "check_consistency", "ChslitError", "class_operator_apply", "ClosedPathInGroup",
-    "combine_queries", "conditional_probability", "ConditionUnsatisfied", "ConsistencyReport",
-    "ContradictionRecord", "counting_rate", "decoherence_functional", "DEFAULT_MAX_PATHS",
-    "DEFAULT_TOLERANCE", "DegenerateDetector", "DETECTED", "DimensionMismatch", "EmptyMask",
+    "BUILTIN_SCENARIOS", "check_consistency", "ChslitError", "ClosedPathInGroup", "combine_queries",
+    "conditional_probability", "ConditionUnsatisfied", "ConsistencyReport", "ContradictionRecord",
+    "counting_rate", "DEFAULT_MAX_PATHS", "DEFAULT_TOLERANCE", "DegenerateDetector", "DETECTED", "EmptyMask",
     "enumerate_consistent_frameworks", "enumerate_partitions", "ExperimentModel", "find_contradictions",
     "format_partition", "format_scenario_partition", "Framework", "group_amplitude",
-    "group_decoherence_closed_form", "History", "history_probabilities", "history_set_for_partition",
-    "HistorySet", "InconsistentSet", "load_scenario", "MeaninglessCombination", "NoOpenPaths",
-    "NotExhaustive", "NotInFramework", "OverlappingGroups", "parse_partition", "parse_scenario_partition",
-    "ParseError", "Partition", "partition_on_paths", "PartSumMismatch", "Path", "query_event", "refine_slit",
-    "save_scenario", "SchemaError", "Slit", "SlitPart", "SlitScenario", "TooLarge", "UNDETECTED",
-    "UnknownScenario", "UnknownSlit",
+    "group_decoherence_closed_form", "history_probabilities", "InconsistentSet", "load_scenario",
+    "MeaninglessCombination", "NoOpenPaths", "NotExhaustive", "NotInFramework", "OverlappingGroups",
+    "parse_partition", "parse_scenario_partition", "ParseError", "Partition", "partition_on_paths",
+    "PartSumMismatch", "Path", "query_event", "refine_slit", "save_scenario", "SchemaError", "Slit", "SlitPart",
+    "SlitScenario", "TooLarge", "UNDETECTED", "UnknownScenario", "UnknownSlit",
 }
 
 
 def test_chslit_exports_exactly_the_pinned_public_names():
-    eager = {name for name, value in vars(chslit).items() if name[0] != "_" and not isinstance(value, types.ModuleType)}
-    # The dense reference names load on first use, through the module's __getattr__.
-    lazy = {"History", "HistorySet", "class_operator_apply", "decoherence_functional", "history_set_for_partition"}
-    assert PUBLIC_NAMES - eager == lazy
-    assert all(getattr(chslit, name) is not None for name in lazy)
-    assert eager <= PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 62
+    public = {name for name, value in vars(chslit).items() if name[0] != "_" and not isinstance(value, types.ModuleType)}
+    assert public == PUBLIC_NAMES and not hasattr(chslit, "__getattr__")
+    assert len(PUBLIC_NAMES) == 56
 
 
 def test_the_reference_record_types_load_without_dataclasses():
     script = (
         "import sys\n"
         "preloaded = 'dataclasses' in sys.modules\n"
-        "import chslit\n"
-        "chslit.History\n"
-        "print(preloaded, 'dataclasses' in sys.modules, 'chslit.reference' in sys.modules)\n"
+        "import chslit.reference\n"
+        "print(preloaded, 'dataclasses' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(FilePath(chslit.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    preloaded, loaded, reference_loaded = proc.stdout.split()
+    preloaded, loaded = proc.stdout.split()
     if preloaded == "True":
         pytest.skip("this interpreter loads dataclasses before chslit is imported")
-    assert (loaded, reference_loaded) == ("False", "True")
+    assert loaded == "False"
 
 
 # -- record types ---------------------------------------------------------------
@@ -367,7 +360,11 @@ RECORDS = [
     (Slit, ("label", "amplitude", "is_open", "parts"), ("S1", 1 + 0j, False, (SlitPart("a", 1 + 0j),))),
     (Partition, ("groups",), ((frozenset({0, 1}), frozenset({2})),)),
     (SlitScenario, ("name", "slits", "metadata"), ("s", (Slit("S1", 1 + 0j),), {"seed": "1"})),
-    (ExperimentModel, ("scenario", "amplitudes", "scale"), (THREE_SLIT, (1 + 0j, -1 + 0j, 1 + 0j), 1 / 9)),
+    (
+        ExperimentModel,
+        ("scenario", "amplitudes", "scale", "points", "norm"),
+        (THREE_SLIT, (1 + 0j, -1 + 0j, 1 + 0j), 1 / 9, ((1, 0), (-1, 0), (1, 0)), 3),
+    ),
     (
         ConsistencyReport,
         ("mode", "consistent", "max_violation", "offending_pair", "tolerance_used"),
@@ -393,8 +390,8 @@ def test_record_types_keep_their_defaults():
 
 @pytest.mark.parametrize(
     "kind, fields, values",
-    [r for r in RECORDS if r[0] not in (SlitScenario, ExperimentModel)],
-    ids=[kind.__name__ for kind, _, _ in RECORDS if kind not in (SlitScenario, ExperimentModel)],
+    [r for r in RECORDS if r[0] is not SlitScenario],
+    ids=[kind.__name__ for kind, _, _ in RECORDS if kind is not SlitScenario],
 )
 def test_record_types_have_no_instance_dict(kind, fields, values):
     # A record costs what its tuple costs, and takes no attribute but its fields.
@@ -454,10 +451,7 @@ def test_partition_replace_and_make_give_the_canonical_partition():
         Partition([{0}, {1}])._replace(groups=({0}, {0, 1}))
 
 
-def test_scenario_paths_and_model_state_are_computed_on_first_use_only():
+def test_scenario_paths_are_computed_on_first_use_only():
     scenario = make_scenario([1, -1, 1])
     assert "paths" not in vars(scenario)
     assert scenario.paths is scenario.paths and "paths" in vars(scenario)
-    model = build_experiment(scenario)
-    assert "psi" not in vars(model)
-    assert model.psi is model.psi and "psi" in vars(model)

@@ -22,9 +22,6 @@ from chslit import (
     ConditionUnsatisfied,
     DegenerateDetector,
     DETECTED,
-    DimensionMismatch,
-    History,
-    HistorySet,
     InconsistentSet,
     NoOpenPaths,
     NotInFramework,
@@ -32,16 +29,24 @@ from chslit import (
     UNDETECTED,
     build_experiment,
     check_consistency,
-    class_operator_apply,
     conditional_probability,
-    decoherence_functional,
     group_decoherence_closed_form,
     history_probabilities,
-    history_set_for_partition,
     parse_partition,
 )
 from chslit.engine import _EMPTY, _fold, _group_terms, _settle
-from chslit.reference import detector_direction
+from chslit.reference import (
+    DimensionMismatch,
+    History,
+    HistorySet,
+    branch_projector,
+    class_operator_apply,
+    decoherence_functional,
+    detector_direction,
+    group_projector,
+    history_set_for_partition,
+    initial_state,
+)
 from conftest import make_scenario, random_partition, random_scenario
 from chslit import enumerate_consistent_frameworks, find_contradictions, format_partition
 from conftest import partition_gram
@@ -77,7 +82,7 @@ def inline_decoherence(scenario, group_a, branch_a, group_b, branch_b):
 
 
 def model_history(model, group, branch):
-    return History(chain=(model.group_projector(group), model.branch_projector(branch)))
+    return History(chain=(group_projector(model, group), branch_projector(model, branch)))
 
 
 # -- build_experiment ---------------------------------------------------------
@@ -85,14 +90,14 @@ def model_history(model, group, branch):
 
 def test_build_three_slit_model_by_hand():
     model = build_experiment(THREE_SLIT)
-    np.testing.assert_allclose(model.psi, np.full(3, 1 / np.sqrt(3)), atol=1e-15)
+    np.testing.assert_allclose(initial_state(model), np.full(3, 1 / np.sqrt(3)), atol=1e-15)
     np.testing.assert_allclose(detector_direction(model), np.array([1, -1, 1]) / np.sqrt(3), atol=1e-15)
 
 
 def test_build_single_open_path_aligns_detector():
     scenario = make_scenario([1, 0, 0], open_flags=[True, False, False])
     model = build_experiment(scenario)
-    np.testing.assert_array_equal(model.psi, np.array([1, 0, 0], dtype=complex))
+    np.testing.assert_array_equal(initial_state(model), np.array([1, 0, 0], dtype=complex))
     np.testing.assert_array_equal(detector_direction(model), np.array([1, 0, 0], dtype=complex))
 
 
@@ -116,14 +121,14 @@ def test_model_invariants():
         n = scenario.n_paths
         amps = np.array(scenario.amplitudes)
         norm = np.linalg.norm(amps)
-        assert abs(np.linalg.norm(model.psi) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(initial_state(model)) - 1.0) < 1e-12
         # Per-path detection amplitude is A_i / |A|.
         for i in range(n):
             e_i = np.zeros(n, dtype=complex)
             e_i[i] = 1.0
             assert abs(np.vdot(detector_direction(model), e_i) - amps[i] / norm) < 1e-12
         # The detection pair sums to the identity exactly and projects.
-        detected, undetected = model.branch_projector(DETECTED), model.branch_projector(UNDETECTED)
+        detected, undetected = branch_projector(model, DETECTED), branch_projector(model, UNDETECTED)
         np.testing.assert_array_equal(detected + undetected, np.eye(n, dtype=complex))
         for p in (detected, undetected):
             assert np.max(np.abs(p @ p - p)) < 1e-10
@@ -133,7 +138,7 @@ def test_model_invariants():
 def test_model_arrays_are_immutable():
     model = build_experiment(THREE_SLIT)
     with pytest.raises(ValueError):
-        model.psi[0] = 99.0
+        initial_state(model)[0] = 99.0
 
 
 # -- class operators ----------------------------------------------------------
@@ -143,7 +148,7 @@ def test_class_operator_slit_then_detection_by_hand():
     # P_3 psi = e_3/sqrt(3); projecting onto the detector leaves d/3.
     model = build_experiment(THREE_SLIT)
     h = model_history(model, frozenset({2}), DETECTED)
-    out = class_operator_apply(model, h, model.psi)
+    out = class_operator_apply(model, h, initial_state(model))
     np.testing.assert_allclose(out, detector_direction(model) / 3.0, atol=1e-15)
 
 
@@ -163,13 +168,13 @@ def test_histories_are_entities_that_hold_their_chain_as_a_tuple():
 
 def test_class_operator_empty_chain_is_identity():
     model = build_experiment(THREE_SLIT)
-    out = class_operator_apply(model, History(chain=()), model.psi)
-    np.testing.assert_array_equal(out, model.psi)
+    out = class_operator_apply(model, History(chain=()), initial_state(model))
+    np.testing.assert_array_equal(out, initial_state(model))
 
 
 def test_class_operator_projector_idempotence():
     model = build_experiment(THREE_SLIT)
-    p1 = model.group_projector((0,))
+    p1 = group_projector(model, (0,))
     rng = np.random.default_rng(3)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     once = class_operator_apply(model, History(chain=(p1,)), v)
@@ -179,12 +184,12 @@ def test_class_operator_projector_idempotence():
 
 def test_class_operator_supports_longer_chains():
     model = build_experiment(THREE_SLIT)
-    p12 = model.group_projector(frozenset({0, 1}))
-    three_step = History(chain=(p12, p12, model.branch_projector(DETECTED)))
-    two_step = History(chain=(p12, model.branch_projector(DETECTED)))
+    p12 = group_projector(model, frozenset({0, 1}))
+    three_step = History(chain=(p12, p12, branch_projector(model, DETECTED)))
+    two_step = History(chain=(p12, branch_projector(model, DETECTED)))
     np.testing.assert_allclose(
-        class_operator_apply(model, three_step, model.psi),
-        class_operator_apply(model, two_step, model.psi),
+        class_operator_apply(model, three_step, initial_state(model)),
+        class_operator_apply(model, two_step, initial_state(model)),
         atol=1e-15,
     )
 
@@ -193,20 +198,20 @@ def test_class_operator_dimension_mismatch():
     model = build_experiment(THREE_SLIT)
     bad = History(chain=(np.eye(2, dtype=complex),))
     with pytest.raises(DimensionMismatch):
-        class_operator_apply(model, bad, model.psi)
+        class_operator_apply(model, bad, initial_state(model))
 
 
 def test_class_operator_rejects_a_non_square_projector():
     model = build_experiment(THREE_SLIT)
     bad = History(chain=(np.ones((3, 2), dtype=complex),))
     with pytest.raises(DimensionMismatch, match=r"\(3, 2\) is not square"):
-        class_operator_apply(model, bad, model.psi)
+        class_operator_apply(model, bad, initial_state(model))
 
 
 def test_branch_projector_rejects_an_unknown_branch():
     model = build_experiment(THREE_SLIT)
     with pytest.raises(ValueError, match="'sideways'"):
-        model.branch_projector("sideways")
+        branch_projector(model, "sideways")
 
 
 def test_decoherence_rejects_chain_length_mismatch():
@@ -402,7 +407,7 @@ def test_the_folded_verdict_does_not_depend_on_the_order_of_the_groups(amplitude
     # that is check_consistency's, bit for bit.
     model = build_experiment(make_scenario(amplitudes))
     k = len(amplitudes)
-    points, norm = model._gaussian
+    points, norm = model.points, model.norm
     terms = [_group_terms(a, points[i], 1, k, model.scale, norm) for i, a in enumerate(model.amplitudes)]
     finest = Partition(tuple(frozenset([i]) for i in range(k)))
 
@@ -490,8 +495,8 @@ def test_history_set_refuses_a_partition_that_does_not_cover_the_open_paths():
 
 def test_history_set_validate_names_the_failing_family():
     model = build_experiment(THREE_SLIT)
-    p1, p2, p12, p23 = (model.group_projector(g) for g in ({0}, {1}, {0, 1}, {1, 2}))
-    detection = tuple(model.branch_projector(branch) for branch in (DETECTED, UNDETECTED))
+    p1, p2, p12, p23 = (group_projector(model, g) for g in ({0}, {1}, {0, 1}, {1, 2}))
+    detection = tuple(branch_projector(model, branch) for branch in (DETECTED, UNDETECTED))
     # {1} and {1,2} miss path 3 and add path 1 twice; {1} and {2,3} are fine.
     short = HistorySet(histories=(), step_families=((p1, p23), (p1, p12)))
     with pytest.raises(ValueError, match="step 1 does not sum to identity"):
@@ -613,8 +618,8 @@ def test_class_operators_never_grow_state_norm():
         open_paths = list(scenario.open_indices)
         group = frozenset(rng.sample(open_paths, rng.randint(0, len(open_paths))))
         branch = rng.choice([DETECTED, UNDETECTED])
-        chain = (model.group_projector(group), model.branch_projector(branch))
-        vector = class_operator_apply(model, History(chain=chain), model.psi)
+        chain = (group_projector(model, group), branch_projector(model, branch))
+        vector = class_operator_apply(model, History(chain=chain), initial_state(model))
         assert np.linalg.norm(vector) <= 1.0 + 1e-12
 
 
@@ -731,6 +736,10 @@ def test_zero_tolerance_keeps_exact_cancellations():
         # Comparing a Decimal NaN raises InvalidOperation instead of giving False.
         pytest.param(Decimal("NaN"), id="decimal-nan"),
         pytest.param(Decimal("sNaN"), id="decimal-snan"),
+        # An array with axes is no number, however many elements it holds.
+        pytest.param(np.array([1e-3]), id="array-one"),
+        pytest.param(np.array([1e-3, 1e-3]), id="array-two"),
+        pytest.param(np.array([]), id="array-empty"),
     ],
 )
 def test_tolerance_must_be_finite_and_non_negative(tolerance):

@@ -401,7 +401,7 @@ def test_near_zero_join_keeps_every_subset_the_kernel_could_accept(kind):
     rng = random.Random(f"join:{kind}")
     for k in range(1, 13):
         model = build_experiment(make_scenario(_join_amplitudes(rng, kind, k)))
-        points, norm = model._gaussian
+        points, norm = model.points, model.norm
         exact = [(sum(p for j, (p, _) in enumerate(points) if mask >> j & 1),
                   sum(q for j, (_, q) in enumerate(points) if mask >> j & 1)) for mask in range(1 << k)]
         for factor, tolerance in product((1, 2), (0.0, 1e-10, 1e-3, 0.3)):

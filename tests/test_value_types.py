@@ -20,6 +20,7 @@ from chslit import (
     SlitPart,
     SlitScenario,
     build_experiment,
+    builtin_scenario,
     check_consistency,
     history_probabilities,
     parse_partition,
@@ -40,7 +41,7 @@ VALUES = [
 ]
 ENTITIES = [
     (SlitScenario, lambda: make_scenario([1, -1, 1]), ("name", "slits", "metadata")),
-    (ExperimentModel, lambda: build_experiment(SCENARIO), ("scenario", "amplitudes", "scale")),
+    (ExperimentModel, lambda: build_experiment(SCENARIO), ("scenario", "amplitudes", "scale", "points", "norm")),
     (
         ConsistencyReport,
         lambda: check_consistency(MODEL, SPLIT),
@@ -83,6 +84,12 @@ def test_values_with_different_fields_differ():
     assert Path(0, "S1", 1 + 0j, True) != Path(0, "S1", 1 + 0j, False)
     assert SlitPart("a", 1 + 0j) != SlitPart("b", 1 + 0j)
     assert Slit("S1", 1 + 0j) != Slit("S1", 1 + 0j, is_open=False)
+
+
+def test_a_model_holds_each_amplitude_exactly():
+    # Each amplitude as (p + iq) 2**E, E the least exponent of a nonzero part: 1 is 2**52 * 2**-52.
+    model = build_experiment(builtin_scenario("three-slit-contradiction"))
+    assert (model.points, model.norm) == (((2**52, 0), (-(2**52), 0), (2**52, 0)), 3 * 2**104)
 
 
 @pytest.mark.parametrize("kind, make, fields", ENTITIES, ids=_ids(ENTITIES))
