@@ -37,16 +37,12 @@ from .errors import (
     AlreadyRefined,
     BadIndex,
     ChslitError,
-    ClosedPathInGroup,
     ConditionUnsatisfied,
     DegenerateDetector,
-    EmptyMask,
     InconsistentSet,
     MeaninglessCombination,
     NoOpenPaths,
-    NotExhaustive,
     NotInFramework,
-    OverlappingGroups,
     ParseError,
     PartSumMismatch,
     SchemaError,
@@ -63,7 +59,6 @@ from .frameworks import (
     enumerate_consistent_frameworks,
     enumerate_partitions,
     find_contradictions,
-    history_probabilities,
     query_event,
 )
 from .scenarios import (

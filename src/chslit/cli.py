@@ -36,9 +36,7 @@ from .errors import (
     ChslitError,
     ConditionUnsatisfied,
     MeaninglessCombination,
-    NotExhaustive,
     NotInFramework,
-    OverlappingGroups,
 )
 from .frameworks import (
     DEFAULT_MAX_PATHS,
@@ -79,8 +77,8 @@ def _parsed(flag: str, parse: Callable[..., object], *args: object) -> object:
     """``parse(*args)``, naming the offending flag in any parse error."""
     try:
         return parse(*args)
-    except (OverlappingGroups, NotExhaustive, BadIndex) as exc:
-        raise type(exc)(f"{flag}: {exc}") from None
+    except BadIndex as exc:
+        raise BadIndex(f"{flag}: {exc}") from None
 
 
 def _event(scenario: SlitScenario, text: str, flag: str) -> frozenset[int]:

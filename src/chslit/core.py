@@ -14,14 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from functools import cached_property
 
-from .errors import (
-    BadIndex,
-    ClosedPathInGroup,
-    EmptyMask,
-    NotExhaustive,
-    OverlappingGroups,
-    PartSumMismatch,
-)
+from .errors import BadIndex, PartSumMismatch
 
 #: Tolerance for sub-part amplitudes summing to the slit amplitude, relative
 #: to the largest modulus among the slit amplitude and its parts.
@@ -33,6 +26,11 @@ def _require_finite(value: complex, kind: str, label: str) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{kind} {label!r} amplitude must have finite components, got {z!r}")
     return z
+
+
+def _require_str(value: object, what: str) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
 
 
 class _Entity:
@@ -64,6 +62,7 @@ class SlitPart(_Checked, namedtuple("SlitPart", "label amplitude")):
     __slots__ = ()
 
     def __new__(cls, label: str, amplitude: complex) -> SlitPart:
+        _require_str(label, "part label")
         return super().__new__(cls, label, _require_finite(amplitude, "part", label))
 
 
@@ -74,6 +73,9 @@ class Slit(_Checked, namedtuple("Slit", "label amplitude is_open parts")):
     __slots__ = ()
 
     def __new__(cls, label: str, amplitude: complex, is_open: bool = True, parts: Iterable[SlitPart] = ()) -> Slit:
+        _require_str(label, "slit label")
+        if not isinstance(is_open, bool):
+            raise ValueError(f"slit {label!r} is_open must be True or False, got {is_open!r}")
         amplitude = _require_finite(amplitude, "slit", label)
         parts = tuple(parts)
         if parts:
@@ -98,11 +100,17 @@ class SlitScenario(_Entity, _Checked, namedtuple("SlitScenario", "name slits met
     # instance dict.
 
     def __new__(cls, name: str, slits: Iterable[Slit], metadata: Mapping[str, str] | None = None) -> SlitScenario:
+        _require_str(name, "scenario name")
         slits = tuple(slits)
+        if not slits:
+            raise ValueError("a scenario needs at least one slit")
         labels = [s.label for s in slits]
         if len(set(labels)) != len(labels):
             raise ValueError("slit labels must be unique")
-        return super().__new__(cls, name, slits, dict(metadata or {}))
+        metadata = dict(metadata or {})
+        if not all(isinstance(text, str) for item in metadata.items() for text in item):
+            raise ValueError(f"metadata keys and values must be strings, got {metadata!r}")
+        return super().__new__(cls, name, slits, metadata)
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
@@ -157,13 +165,13 @@ class Partition(_Checked, namedtuple("Partition", "groups")):
     def __new__(cls, groups: Iterable[Iterable[int]]) -> Partition:
         groups = [*map(frozenset, groups)]
         if not all(groups):
-            raise ValueError("partition groups must be non-empty")
+            raise BadIndex("partition groups must be non-empty")
         groups.sort(key=min)
         seen: set[int] = set()
         for g in groups:
             overlap = seen & g
             if overlap:
-                raise OverlappingGroups(f"path {min(overlap) + 1} appears in two groups")
+                raise BadIndex(f"path {min(overlap) + 1} appears in two groups")
             seen |= g
         return super().__new__(cls, tuple(groups))
 
@@ -216,7 +224,7 @@ def parse_partition(text: str, n_paths: int) -> Partition:
     partition = Partition(tuple(frozenset(_parse_indices(g, n_paths)) for g in text.split("|")))
     missing = set(range(n_paths)) - partition.universe
     if missing:
-        raise NotExhaustive(f"partition is missing path {min(missing) + 1}")
+        raise BadIndex(f"partition is missing path {min(missing) + 1}")
     return partition
 
 
@@ -276,7 +284,7 @@ def _open_members(scenario: SlitScenario, group: Iterable[int]) -> list[int]:
         scenario.check_index(index)
         path = scenario.paths[index]
         if not path.is_open:
-            raise ClosedPathInGroup(f"path {path.label!r} is closed")
+            raise BadIndex(f"path {path.label!r} is closed")
     return members
 
 
@@ -300,7 +308,7 @@ def counting_rate(scenario: SlitScenario, open_mask: Iterable[int]) -> float:
     """
     mask = frozenset(open_mask)
     if not mask:
-        raise EmptyMask("counting rate needs at least one open path")
+        raise BadIndex("counting rate needs at least one open path")
     try:
         return abs(_sum_amplitudes(scenario.amplitudes[scenario.check_index(i)] for i in mask)) ** 2
     except OverflowError:

@@ -212,7 +212,7 @@ def _framework(
     partition: Partition, mode: str, detected: Iterable, undetected: Iterable, violation: float, tolerance_used: float
 ) -> Framework:
     """Wrap a partition the kernel found consistent: the one assembler of
-    every framework, for :func:`~chslit.frameworks.history_probabilities`
+    every framework, for :func:`~chslit.frameworks.build_framework`
     and the enumeration alike.  ``detected`` and ``undetected`` are the
     groups' table items, ``((group, branch), probability)`` in group order;
     the table lists every detected item, then every undetected one.

@@ -10,23 +10,9 @@ class ChslitError(Exception):
 # -- partition parsing and path bookkeeping ---------------------------------
 
 class BadIndex(ChslitError):
-    """A path index is out of range or not parseable."""
-
-
-class OverlappingGroups(ChslitError):
-    """A partition mentions the same path in two groups."""
-
-
-class NotExhaustive(ChslitError):
-    """A partition fails to cover every required path."""
-
-
-class ClosedPathInGroup(ChslitError):
-    """A group references a path whose slit is closed."""
-
-
-class EmptyMask(ChslitError):
-    """A counting-rate mask contains no paths."""
+    """A path list that does not fit the scenario: an index out of range or
+    not parseable, a path repeated or in two groups, a path missing, a closed
+    path in a group, or an empty list or group."""
 
 
 # -- experiment construction and evaluation ---------------------------------

@@ -101,7 +101,7 @@ def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_PATHS) -> Iterator[Par
     return place([], 0)
 
 
-def history_probabilities(
+def build_framework(
     model: ExperimentModel,
     partition: Partition,
     mode: str = MODE_MEDIUM,
@@ -119,9 +119,6 @@ def history_probabilities(
     detected = [((g, DETECTED), t[2]) for g, t in zip(partition.groups, terms)]
     undetected = [((g, UNDETECTED), t[3]) for g, t in zip(partition.groups, terms)]
     return _framework(partition, mode, detected, undetected, violation, tolerance_used)
-
-
-build_framework = history_probabilities
 
 
 class _Memo(dict):

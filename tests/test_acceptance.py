@@ -32,7 +32,6 @@ from chslit import (
     find_contradictions,
     format_partition,
     group_decoherence_closed_form,
-    history_probabilities,
     parse_partition,
     parse_scenario_partition,
     query_event,
@@ -176,13 +175,13 @@ def test_property_suites():
                 continue
             if not check_consistency(model, partition, mode="weak").consistent:
                 continue
-            fine = history_probabilities(model, partition, mode="weak").probabilities
+            fine = build_framework(model, partition, mode="weak").probabilities
             i, j = rng.sample(range(len(partition)), 2)
             merged_group = partition.groups[i] | partition.groups[j]
             merged = Partition(
                 tuple(g for idx, g in enumerate(partition.groups) if idx not in (i, j)) + (merged_group,)
             )
-            coarse = history_probabilities(model, merged, mode="weak").probabilities
+            coarse = build_framework(model, merged, mode="weak").probabilities
             # Diagonal values of a weakly consistent set behave as probabilities.
             assert abs(sum(fine.values()) - 1.0) <= 1e-10
             for branch in (DETECTED, UNDETECTED):
@@ -216,7 +215,7 @@ def test_property_suites():
                 after = check_consistency(scaled_model, partition, mode=mode).consistent
                 assert before == after
             if check_consistency(model, partition).consistent:
-                table = history_probabilities(model, partition)
+                table = build_framework(model, partition)
                 if table.detected_total() > 1e-12:
                     for group in partition.groups:
                         p_before = conditional_probability(model, partition, group)

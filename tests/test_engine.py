@@ -28,10 +28,10 @@ from chslit import (
     Partition,
     UNDETECTED,
     build_experiment,
+    build_framework,
     check_consistency,
     conditional_probability,
     group_decoherence_closed_form,
-    history_probabilities,
     parse_partition,
 )
 from chslit.engine import _EMPTY, _fold, _group_terms, _settle
@@ -543,7 +543,7 @@ def test_concurrent_checks_match_sequential():
 
 def test_probability_table_for_cancelling_split():
     model = build_experiment(THREE_SLIT)
-    table = history_probabilities(model, SPLIT_12_3).probabilities
+    table = build_framework(model, SPLIT_12_3).probabilities
     g12, g3 = frozenset({0, 1}), frozenset({2})
     assert table[(g12, DETECTED)] == pytest.approx(0.0, abs=1e-15)
     assert table[(g3, DETECTED)] == pytest.approx(1 / 9, abs=1e-12)
@@ -555,7 +555,7 @@ def test_probability_table_for_cancelling_split():
 def test_probability_table_single_open_path():
     scenario = make_scenario([1, 0, 0], open_flags=[True, False, False])
     model = build_experiment(scenario)
-    table = history_probabilities(model, Partition((frozenset({0}),))).probabilities
+    table = build_framework(model, Partition((frozenset({0}),))).probabilities
     assert table[(frozenset({0}), DETECTED)] == pytest.approx(1.0, abs=1e-12)
     assert table[(frozenset({0}), UNDETECTED)] == pytest.approx(0.0, abs=1e-12)
 
@@ -563,12 +563,12 @@ def test_probability_table_single_open_path():
 def test_probabilities_refused_for_inconsistent_partition():
     model = build_experiment(THREE_SLIT)
     with pytest.raises(InconsistentSet):
-        history_probabilities(model, SPLIT_13_2)
+        build_framework(model, SPLIT_13_2)
 
 
 def test_probability_table_records_its_report():
     model = build_experiment(THREE_SLIT)
-    result = history_probabilities(model, SPLIT_12_3)
+    result = build_framework(model, SPLIT_12_3)
     assert result.report.consistent
     assert result.report.mode == "medium"
 
@@ -585,12 +585,12 @@ def test_detection_marginal_matches_counting_rate_proportionality():
         open_sum = sum(scenario.amplitudes[i] for i in scenario.open_indices)
         expected = abs(open_sum) ** 2 / (k * norm_sq)
         coarsest = Partition((frozenset(scenario.open_indices),))
-        table = history_probabilities(model, coarsest)
+        table = build_framework(model, coarsest)
         assert abs(table.detected_total() - expected) < 1e-10
         # Any consistent refinement shares the same detection marginal.
         partition = random_partition(rng, scenario.open_indices)
         if check_consistency(model, partition).consistent:
-            refined = history_probabilities(model, partition)
+            refined = build_framework(model, partition)
             assert abs(refined.detected_total() - expected) < 1e-10
 
 
@@ -604,7 +604,7 @@ def test_diagonal_sum_is_one_for_weakly_consistent_partitions():
         partition = random_partition(rng, scenario.open_indices)
         if not check_consistency(model, partition, mode="weak").consistent:
             continue
-        table = history_probabilities(model, partition, mode="weak")
+        table = build_framework(model, partition, mode="weak")
         assert abs(sum(table.probabilities.values()) - 1.0) < 1e-10
 
 
@@ -661,13 +661,13 @@ def test_coarse_graining_additivity_on_weakly_consistent_partitions():
         partition = random_partition(rng, scenario.open_indices)
         if len(partition) < 2 or not check_consistency(model, partition, mode="weak").consistent:
             continue
-        fine = history_probabilities(model, partition, mode="weak").probabilities
+        fine = build_framework(model, partition, mode="weak").probabilities
         i, j = rng.sample(range(len(partition)), 2)
         merged_group = partition.groups[i] | partition.groups[j]
         merged = Partition(
             tuple(g for idx, g in enumerate(partition.groups) if idx not in (i, j)) + (merged_group,)
         )
-        coarse = history_probabilities(model, merged, mode="weak").probabilities
+        coarse = build_framework(model, merged, mode="weak").probabilities
         for branch in (DETECTED, UNDETECTED):
             merged_p = coarse[(merged_group, branch)]
             split_p = fine[(partition.groups[i], branch)] + fine[(partition.groups[j], branch)]
@@ -704,7 +704,7 @@ def test_kernel_numbers_equal_the_dense_gram_matrix():
             if not report.consistent:
                 assert abs(off[report.offending_pair] - worst) < 1e-12
                 continue
-            table = history_probabilities(model, partition, mode=mode).probabilities
+            table = build_framework(model, partition, mode=mode).probabilities
             keys = [(g, branch) for branch in (DETECTED, UNDETECTED) for g in partition.groups]
             for i, key in enumerate(keys):
                 assert abs(table[key] - gram[i][i].real) < 1e-12
@@ -748,7 +748,7 @@ def test_tolerance_must_be_finite_and_non_negative(tolerance):
     with pytest.raises(ValueError, match=message):
         check_consistency(model, SPLIT_12_3, tolerance=tolerance)
     with pytest.raises(ValueError, match=message):
-        history_probabilities(model, SPLIT_12_3, tolerance=tolerance)
+        build_framework(model, SPLIT_12_3, tolerance=tolerance)
     with pytest.raises(ValueError, match=message):
         enumerate_consistent_frameworks(model, tolerance=tolerance)
     with pytest.raises(ValueError, match=message):

@@ -33,12 +33,12 @@ from chslit import (
     Slit,
     SlitPart,
     build_experiment,
+    build_framework,
     check_consistency,
     enumerate_consistent_frameworks,
     enumerate_partitions,
     format_partition,
     group_amplitude,
-    history_probabilities,
     parse_partition,
     query_event,
 )
@@ -245,7 +245,7 @@ def test_negative_zero_tolerance_is_reported_as_zero():
     partition = parse_partition("1,2|3", 3)
     used = [
         check_consistency(model, partition, tolerance=-0.0).tolerance_used,
-        history_probabilities(model, partition, tolerance=-0.0).report.tolerance_used,
+        build_framework(model, partition, tolerance=-0.0).report.tolerance_used,
         *(f.report.tolerance_used for f in enumerate_consistent_frameworks(model, tolerance=-0.0)),
     ]
     assert len(used) > 2

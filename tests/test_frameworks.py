@@ -31,7 +31,6 @@ from chslit import (
     enumerate_partitions,
     find_contradictions,
     format_partition,
-    history_probabilities,
     parse_partition,
     partition_on_paths,
     query_event,
@@ -186,7 +185,7 @@ def _walk(model, mode, tolerance):
     for positions in enumerate_partitions(model.scenario.n_open):
         partition = partition_on_paths(model.scenario, positions)
         try:
-            frameworks.append(history_probabilities(model, partition, mode=mode, tolerance=tolerance))
+            frameworks.append(build_framework(model, partition, mode=mode, tolerance=tolerance))
         except InconsistentSet:
             pass
     return frameworks

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chslit import (
     AlreadyRefined,
@@ -239,6 +241,64 @@ def test_loaded_slits_and_paths_equal_what_the_checking_constructors_build():
 def test_load_then_save_is_canonical_identity():
     canonical = save_scenario(load_scenario(THREE_SLIT_DOC))
     assert save_scenario(load_scenario(canonical)) == canonical
+
+
+#: Components that stress the document's number format: signed zeros,
+#: subnormals and values near the double range, beside ordinary ones.  Parts
+#: stay within +-1e307, so three of them sum without overflow.
+_EDGE_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1e307, -1e307]
+_part_component = st.sampled_from(_EDGE_COMPONENTS) | st.floats(-1e307, 1e307)
+_slit_component = st.sampled_from(_EDGE_COMPONENTS) | st.floats(allow_nan=False, allow_infinity=False)
+_part_amplitudes = st.builds(complex, _part_component, _part_component)
+_slit_amplitudes = st.builds(complex, _slit_component, _slit_component)
+
+
+@st.composite
+def _constructed_scenarios(draw) -> SlitScenario:
+    slits = []
+    for label in draw(st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True)):
+        is_open = draw(st.booleans())
+        part_labels = draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
+        if not part_labels:
+            slits.append(Slit(label, draw(_slit_amplitudes), is_open))
+            continue
+        parts = [SlitPart(part_label, draw(_part_amplitudes)) for part_label in part_labels]
+        total = complex(math.fsum(p.amplitude.real for p in parts), math.fsum(p.amplitude.imag for p in parts))
+        slits.append(Slit(label, total, is_open, parts))
+    metadata = draw(st.dictionaries(st.text(max_size=4), st.text(max_size=6), max_size=3))
+    return SlitScenario(draw(st.text(max_size=8)), slits, metadata)
+
+
+def _path_bits(scenario: SlitScenario) -> list[tuple[str, bool, str, str]]:
+    return [(p.label, p.is_open, p.amplitude.real.hex(), p.amplitude.imag.hex()) for p in scenario.paths]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_constructed_scenarios())
+def test_every_constructed_scenario_round_trips_through_its_document(scenario):
+    doc = save_scenario(scenario)
+    loaded = load_scenario(doc)
+    assert save_scenario(loaded) == doc
+    assert _path_bits(loaded) == _path_bits(scenario)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SlitScenario("x", [Slit("A", 1)], {"seed": 1}), "metadata keys and values must be strings"),
+        (lambda: SlitScenario("x", [Slit("A", 1)], {1: "seed"}), "metadata keys and values must be strings"),
+        (lambda: SlitScenario(1, [Slit("A", 1)]), "scenario name must be a string"),
+        (lambda: SlitScenario("x", [Slit(1, 1)]), "slit label must be a string"),
+        (lambda: Slit("A", 0j, parts=[SlitPart(1, 0j)]), "part label must be a string"),
+        (lambda: Slit("A", 1, is_open=1), "is_open must be True or False"),
+        (lambda: SlitScenario("x", []), "a scenario needs at least one slit"),
+    ],
+    ids=["metadata-value", "metadata-key", "name", "slit-label", "part-label", "is-open", "no-slits"],
+)
+def test_constructors_refuse_what_the_loader_refuses(build, message):
+    # Each of these would save a document that load_scenario refuses.
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # -- built-ins ---------------------------------------------------------------------

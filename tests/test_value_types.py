@@ -20,9 +20,9 @@ from chslit import (
     SlitPart,
     SlitScenario,
     build_experiment,
+    build_framework,
     builtin_scenario,
     check_consistency,
-    history_probabilities,
     parse_partition,
 )
 from conftest import make_scenario
@@ -47,7 +47,7 @@ ENTITIES = [
         lambda: check_consistency(MODEL, SPLIT),
         ("mode", "consistent", "max_violation", "offending_pair", "tolerance_used"),
     ),
-    (Framework, lambda: history_probabilities(MODEL, SPLIT), ("partition", "mode", "probabilities", "report")),
+    (Framework, lambda: build_framework(MODEL, SPLIT), ("partition", "mode", "probabilities", "report")),
 ]
 
 
