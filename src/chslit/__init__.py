@@ -34,21 +34,15 @@ from .engine import (
     group_decoherence_closed_form,
 )
 from .errors import (
-    AlreadyRefined,
     BadIndex,
     ChslitError,
     ConditionUnsatisfied,
-    DegenerateDetector,
+    DegenerateScenario,
     InconsistentSet,
-    MeaninglessCombination,
-    NoOpenPaths,
     NotInFramework,
-    ParseError,
     PartSumMismatch,
     SchemaError,
     TooLarge,
-    UnknownScenario,
-    UnknownSlit,
 )
 from .frameworks import (
     DEFAULT_MAX_PATHS,

@@ -31,13 +31,7 @@ from .engine import (
     build_experiment,
     check_consistency,
 )
-from .errors import (
-    BadIndex,
-    ChslitError,
-    ConditionUnsatisfied,
-    MeaninglessCombination,
-    NotInFramework,
-)
+from .errors import BadIndex, ChslitError, ConditionUnsatisfied, NotInFramework
 from .frameworks import (
     DEFAULT_MAX_PATHS,
     ContradictionRecord,
@@ -189,7 +183,7 @@ def _cmd_query(args: argparse.Namespace, scenario: SlitScenario) -> tuple[int, d
         other = build_framework(model, other_partition, mode=args.mode, tolerance=args.tol)
         other_event = _event(scenario, event_text, "--and")
         payload["and"] = answer(other, other_event)
-        # Raises MeaninglessCombination (exit 4) unless one analysis refines the other.
+        # Raises NotInFramework (exit 4) unless one analysis refines the other.
         payload["conjunction"] = answer(combine_queries(framework, other), event & other_event)
     return EXIT_OK, payload
 
@@ -416,7 +410,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (NotInFramework, MeaninglessCombination) as exc:
+    except NotInFramework as exc:
         _fail(f"single-framework rule: {exc}")
         return EXIT_FRAMEWORK_RULE
     except ConditionUnsatisfied as exc:

@@ -10,6 +10,7 @@ marked closed) so indices stay stable when slits are toggled.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from functools import cached_property
@@ -22,7 +23,10 @@ PART_SUM_TOLERANCE = 1e-12
 
 
 def _require_finite(value: complex, kind: str, label: str) -> complex:
-    z = complex(value)
+    try:
+        z = complex(value)
+    except TypeError:
+        raise ValueError(f"{kind} {label!r} amplitude must be a number, got {value!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{kind} {label!r} amplitude must have finite components, got {z!r}")
     return z
@@ -31,6 +35,14 @@ def _require_finite(value: complex, kind: str, label: str) -> complex:
 def _require_str(value: object, what: str) -> None:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
+
+
+def _require_items(items: Iterable[object], kind: type, what: str) -> tuple:
+    items = tuple(items)
+    for item in items:
+        if not isinstance(item, kind):
+            raise ValueError(f"{what} must be a {kind.__name__}, got {item!r}")
+    return items
 
 
 class _Entity:
@@ -77,7 +89,7 @@ class Slit(_Checked, namedtuple("Slit", "label amplitude is_open parts")):
         if not isinstance(is_open, bool):
             raise ValueError(f"slit {label!r} is_open must be True or False, got {is_open!r}")
         amplitude = _require_finite(amplitude, "slit", label)
-        parts = tuple(parts)
+        parts = _require_items(parts, SlitPart, f"each part of slit {label!r}")
         if parts:
             labels = [p.label for p in parts]
             if len(set(labels)) != len(labels):
@@ -101,7 +113,7 @@ class SlitScenario(_Entity, _Checked, namedtuple("SlitScenario", "name slits met
 
     def __new__(cls, name: str, slits: Iterable[Slit], metadata: Mapping[str, str] | None = None) -> SlitScenario:
         _require_str(name, "scenario name")
-        slits = tuple(slits)
+        slits = _require_items(slits, Slit, "each slit")
         if not slits:
             raise ValueError("a scenario needs at least one slit")
         labels = [s.label for s in slits]
@@ -163,7 +175,10 @@ class Partition(_Checked, namedtuple("Partition", "groups")):
     __slots__ = ()
 
     def __new__(cls, groups: Iterable[Iterable[int]]) -> Partition:
-        groups = [*map(frozenset, groups)]
+        try:
+            groups = [frozenset(map(operator.index, g)) for g in groups]
+        except TypeError as exc:
+            raise BadIndex(f"partition groups must be collections of integers: {exc}") from None
         if not all(groups):
             raise BadIndex("partition groups must be non-empty")
         groups.sort(key=min)

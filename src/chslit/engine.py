@@ -32,7 +32,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .core import Partition, SlitScenario, _check_covers_open, _Entity, _open_members, _sum_amplitudes
-from .errors import DegenerateDetector, NoOpenPaths
+from .errors import DegenerateScenario
 
 DETECTED = "detected"
 UNDETECTED = "undetected"
@@ -71,10 +71,10 @@ def build_experiment(scenario: SlitScenario) -> ExperimentModel:
     counting rates are physically meaningful.
     """
     if not scenario.open_indices:
-        raise NoOpenPaths(f"scenario {scenario.name!r} has no open path")
+        raise DegenerateScenario(f"scenario {scenario.name!r} has no open path")
     largest = max(max(abs(a.real), abs(a.imag)) for a in scenario.amplitudes)
     if largest == 0.0:
-        raise DegenerateDetector("all amplitudes vanish; detector direction undefined")
+        raise DegenerateScenario("all amplitudes vanish; detector direction undefined")
     shift = 1 - math.frexp(largest)[1]
     amplitudes = tuple(complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift)) for a in scenario.amplitudes)
     norm_sq = math.fsum(abs(a) ** 2 for a in amplitudes)

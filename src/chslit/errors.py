@@ -1,4 +1,7 @@
-"""Exception types raised by the chslit package."""
+"""Exception types raised by the chslit package: one per refusal that a
+caller or the CLI treats differently.  A bad value passed to a constructor
+or a lookup by name (an unknown demo or slit, a slit refined twice) raises
+``ValueError`` instead."""
 
 from __future__ import annotations
 
@@ -12,17 +15,15 @@ class ChslitError(Exception):
 class BadIndex(ChslitError):
     """A path list that does not fit the scenario: an index out of range or
     not parseable, a path repeated or in two groups, a path missing, a closed
-    path in a group, or an empty list or group."""
+    path in a group, an empty list or group, or a group that is not a
+    collection of integers."""
 
 
 # -- experiment construction and evaluation ---------------------------------
 
-class NoOpenPaths(ChslitError):
-    """The scenario has no open path, so no experiment can be built."""
-
-
-class DegenerateDetector(ChslitError):
-    """All amplitudes vanish, leaving the detector direction undefined."""
+class DegenerateScenario(ChslitError):
+    """No experiment can be built: the scenario has no open path, or all
+    its amplitudes vanish, leaving the detector direction undefined."""
 
 
 class InconsistentSet(ChslitError):
@@ -40,27 +41,16 @@ class TooLarge(ChslitError):
 
 
 class NotInFramework(ChslitError):
-    """Event not expressible in the framework; the single-framework rule
-    forbids assigning it a probability here."""
-
-
-class MeaninglessCombination(ChslitError):
-    """Neither framework refines the other, so no joint context exists."""
-
-    def __init__(self, message: str, partition_a=None, partition_b=None):
-        super().__init__(message)
-        self.partition_a = partition_a
-        self.partition_b = partition_b
+    """The single-framework rule: an event not expressible in the framework,
+    or two frameworks neither of which refines the other, so that no joint
+    context exists."""
 
 
 # -- scenario documents -------------------------------------------------------
 
-class ParseError(ChslitError):
-    """Scenario document is not valid JSON."""
-
-
 class SchemaError(ChslitError):
-    """Scenario document violates the schema."""
+    """Scenario document is not valid JSON (field path ``$``) or violates
+    the schema."""
 
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
@@ -73,15 +63,3 @@ class PartSumMismatch(ChslitError):
     def __init__(self, slit_label: str, message: str):
         super().__init__(message)
         self.slit_label = slit_label
-
-
-class UnknownScenario(ChslitError):
-    """No built-in scenario under the requested name."""
-
-
-class UnknownSlit(ChslitError):
-    """No slit with the requested label."""
-
-
-class AlreadyRefined(ChslitError):
-    """The slit already carries sub-parts."""

@@ -35,13 +35,7 @@ from .engine import (
     _settle,
     _verdict,
 )
-from .errors import (
-    ConditionUnsatisfied,
-    InconsistentSet,
-    MeaninglessCombination,
-    NotInFramework,
-    TooLarge,
-)
+from .errors import ConditionUnsatisfied, InconsistentSet, NotInFramework, TooLarge
 
 #: Default cap on open-path count for enumeration: a guard, not a cost
 #: model.  An input with few nonzero amplitudes has up to Bell(k)
@@ -382,7 +376,8 @@ def combine_queries(framework_a: Framework, framework_b: Framework) -> Framework
 
     If one partition refines the other (every partition refines itself),
     the finer, already consistent, framework is the joint context.
-    Otherwise no joint probability exists and the combination is refused.
+    Otherwise no joint probability exists, and the single-framework rule
+    refuses the combination with NotInFramework.
     """
     if framework_a.mode != framework_b.mode:
         raise ValueError("frameworks must be built in the same consistency mode")
@@ -392,11 +387,7 @@ def combine_queries(framework_a: Framework, framework_b: Framework) -> Framework
         return framework_a
     if framework_b.partition.refines(framework_a.partition):
         return framework_b
-    raise MeaninglessCombination(
-        "neither framework refines the other; their probabilities cannot be combined",
-        partition_a=framework_a.partition,
-        partition_b=framework_b.partition,
-    )
+    raise NotInFramework("neither framework refines the other; their probabilities cannot be combined")
 
 
 #: Events of one framework as ``(position mask, event, probability)``.

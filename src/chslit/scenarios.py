@@ -26,13 +26,7 @@ import sys
 from collections.abc import Iterable
 
 from .core import Slit, SlitPart, SlitScenario
-from .errors import (
-    AlreadyRefined,
-    ParseError,
-    SchemaError,
-    UnknownScenario,
-    UnknownSlit,
-)
+from .errors import SchemaError
 
 SCHEMA_VERSION = 1
 
@@ -73,17 +67,17 @@ def _text(value: object, *where: str | int) -> str:
 def load_scenario(data: str | bytes) -> SlitScenario:
     """Parse and validate a scenario document.
 
-    Raises ParseError for malformed JSON, SchemaError (naming the field) for
-    structural problems, and PartSumMismatch when a slit's parts do not sum
-    to its amplitude.  Checks are plain tests: a field's path and message
-    are built only when it fails.
+    Raises SchemaError naming the field (``$``, the whole document, when it
+    is not valid JSON or not an object), and PartSumMismatch when a slit's
+    parts do not sum to its amplitude.  Checks are plain tests: a field's
+    path and message are built only when it fails.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"scenario document is not valid JSON: {exc}") from exc
+        raise SchemaError("$", f"scenario document is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise ParseError("scenario document is nested too deeply") from None
+        raise SchemaError("$", "scenario document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     if "version" not in doc:
@@ -209,7 +203,7 @@ def builtin_scenario(name: str) -> SlitScenario:
             for i in range(3)
         )
         return SlitScenario(name=name, slits=slits, metadata={"seed": str(GENERIC_SEED)})
-    raise UnknownScenario(f"no built-in scenario named {name!r}; available: {', '.join(BUILTIN_SCENARIOS)}")
+    raise ValueError(f"no built-in scenario named {name!r}; available: {', '.join(BUILTIN_SCENARIOS)}")
 
 
 def refine_slit(
@@ -232,10 +226,10 @@ def refine_slit(
             slits.append(slit)
             continue
         if slit.parts:
-            raise AlreadyRefined(f"slit {slit_label!r} already has parts")
+            raise ValueError(f"slit {slit_label!r} already has parts")
         # Raises PartSumMismatch when the sub-amplitudes do not add up.
         slits.append(Slit(label=slit.label, amplitude=slit.amplitude, is_open=slit.is_open, parts=subs))
         replaced = True
     if not replaced:
-        raise UnknownSlit(f"no slit labelled {slit_label!r}")
+        raise ValueError(f"no slit labelled {slit_label!r}")
     return SlitScenario(name=scenario.name, slits=tuple(slits), metadata=scenario.metadata)

@@ -17,7 +17,6 @@ import pytest
 from chslit import (
     DETECTED,
     UNDETECTED,
-    MeaninglessCombination,
     NotInFramework,
     Partition,
     build_experiment,
@@ -250,7 +249,7 @@ def test_single_framework_rule():
     split_1_23 = build_framework(model, parse_partition("1|2,3", 3))
     with pytest.raises(NotInFramework):
         query_event(split_12_3, {0}, given_detected=True)
-    with pytest.raises(MeaninglessCombination):
+    with pytest.raises(NotInFramework):
         combine_queries(split_12_3, split_1_23)
     demo = ["--demo", "three-slit-contradiction"]
     assert cli_main(["query", *demo, "--framework", "1,2|3", "--event", "1", "--given-detected"]) == 4
@@ -261,4 +260,4 @@ def test_single_framework_rule():
         )
         == 4
     )
-    _passed("single-framework rule: NotInFramework and MeaninglessCombination, CLI exit 4")
+    _passed("single-framework rule: NotInFramework for an event and for a combination, CLI exit 4")

@@ -387,6 +387,51 @@ def test_bad_index_is_one_line_naming_its_flag(capsys, flag, value):
     assert len(err.splitlines()) == 1 and err.startswith(f"chslit: error: {flag}: "), err
 
 
+def _slits(*amplitudes, is_open=True, parts=None) -> str:
+    slits = [{"label": f"S{i + 1}", "amplitude": {"re": a, "im": 0.0}, "open": is_open} for i, a in enumerate(amplitudes)]
+    if parts is not None:
+        slits[0]["parts"] = [{"label": f"p{j}", "amplitude": {"re": a, "im": 0.0}} for j, a in enumerate(parts)]
+    return json.dumps({"version": 1, "name": "doc", "slits": slits})
+
+
+#: One invocation per error type the CLI can meet: its scenario document
+#: (None for the three-slit demo), the command after the source, the exit
+#: code and the start of its one stderr line.
+_REFUSALS = {
+    "NotInFramework-event": (None, ["query", "--framework", "1,2|3", "--event", "1", "--given-detected"], 4,
+                             "single-framework rule: event"),
+    "NotInFramework-combination": (None, ["query", "--framework", "1,2|3", "--event", "3", "--and", "1@1|2,3"], 4,
+                                   "single-framework rule: neither framework refines the other"),
+    "DegenerateScenario-no-open-path": (_slits(1.0, 1.0, is_open=False), ["frameworks"], 2,
+                                        "scenario 'doc' has no open path"),
+    "DegenerateScenario-all-zero": (_slits(0.0, 0.0), ["frameworks"], 2, "all amplitudes vanish"),
+    "SchemaError-truncated": ('{"version": 1,', ["frameworks"], 2, "$: scenario document is not valid JSON: "),
+    "SchemaError-undecodable": (b"\xff{}", ["frameworks"], 2, "$: scenario document is not valid JSON: "),
+    "SchemaError-wrong-shape": ("[]", ["frameworks"], 2, "$: expected a JSON object"),
+    "PartSumMismatch": (_slits(1.0, 1.0, parts=[1.0, 1.0]), ["frameworks"], 2, "parts of slit 'S1' sum to"),
+    "TooLarge": (None, ["frameworks", "--max-n", "2"], 2, "3 open paths exceeds the enumeration cap of 2"),
+    "InconsistentSet": (None, ["query", "--framework", "1,3|2", "--event", "2"], 2,
+                        "partition is not a consistent set"),
+    "BadIndex": (None, ["check", "--partition", "1|1,2,3"], 2, "--partition: path 1 appears in two groups"),
+    "ConditionUnsatisfied": (_slits(1.0, -1.0), ["query", "--framework", "1,2", "--event", "1,2", "--given-detected"],
+                             5, "detection has zero probability"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_each_error_type_is_one_stderr_line_and_its_exit_code(capsys, tmp_path, case):
+    document, argv, exit_code, message = _REFUSALS[case]
+    if document is None:
+        source = DEMO
+    else:
+        path = tmp_path / "doc.json"
+        path.write_bytes(document if isinstance(document, bytes) else document.encode())
+        source = ["--file", str(path)]
+    code, out, err = run(capsys, argv[0], *source, *argv[1:])
+    assert (code, out) == (exit_code, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"chslit: error: {message}"), err
+
+
 def test_rates_json_round_trip(capsys):
     code, out, _ = run(capsys, "rates", *DEMO, "--mask", "1,2,3", "--all-single", "--format", "json")
     assert code == 0

@@ -20,10 +20,9 @@ import pytest
 from chslit import (
     BadIndex,
     ConditionUnsatisfied,
-    DegenerateDetector,
+    DegenerateScenario,
     DETECTED,
     InconsistentSet,
-    NoOpenPaths,
     NotInFramework,
     Partition,
     UNDETECTED,
@@ -102,12 +101,12 @@ def test_build_single_open_path_aligns_detector():
 
 
 def test_build_degenerate_detector():
-    with pytest.raises(DegenerateDetector):
+    with pytest.raises(DegenerateScenario):
         build_experiment(make_scenario([0, 0, 0]))
 
 
 def test_build_no_open_paths():
-    with pytest.raises(NoOpenPaths):
+    with pytest.raises(DegenerateScenario):
         build_experiment(make_scenario([1, 1], open_flags=[False, False]))
 
 

@@ -11,16 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chslit import (
-    AlreadyRefined,
-    ParseError,
     PartSumMismatch,
     Path,
     SchemaError,
     Slit,
     SlitPart,
     SlitScenario,
-    UnknownScenario,
-    UnknownSlit,
     build_experiment,
     builtin_scenario,
     conditional_probability,
@@ -106,20 +102,20 @@ def test_load_part_sum_check_is_relative_to_the_amplitude_scale(scale):
 
 
 def test_load_rejects_malformed_json():
-    with pytest.raises(ParseError):
+    with pytest.raises(SchemaError):
         load_scenario("{not json")
 
 
 def test_undecodable_bytes_are_a_parse_error(tmp_path, capsys):
     from chslit.cli import main
 
-    with pytest.raises(ParseError):
+    with pytest.raises(SchemaError):
         load_scenario(b"\xff{}")
     path = tmp_path / "latin1.json"
     path.write_bytes(THREE_SLIT_DOC.replace("S1", "S\xe9").encode("latin-1"))
     assert main(["frameworks", "--file", str(path)]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "not valid JSON" in err
+    assert len(err.splitlines()) == 1 and err.startswith("chslit: error: $: scenario document is not valid JSON: ")
 
 
 @pytest.mark.parametrize(
@@ -301,6 +297,24 @@ def test_constructors_refuse_what_the_loader_refuses(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Slit("A", 1, parts=[("a", 1)]), "each part of slit 'A' must be a SlitPart, got ('a', 1)"),
+        (lambda: Slit("A", 0j, parts="ab"), "each part of slit 'A' must be a SlitPart, got 'a'"),
+        (lambda: SlitScenario("x", [("A", 1)]), "each slit must be a Slit, got ('A', 1)"),
+        (lambda: SlitScenario("x", "AB"), "each slit must be a Slit, got 'A'"),
+        (lambda: Slit("A", None), "slit 'A' amplitude must be a number, got None"),
+        (lambda: SlitPart("a", [1]), "part 'a' amplitude must be a number, got [1]"),
+    ],
+    ids=["part-tuple", "parts-string", "slit-tuple", "slits-string", "slit-amplitude", "part-amplitude"],
+)
+def test_constructors_refuse_items_of_the_wrong_type_by_name(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 # -- built-ins ---------------------------------------------------------------------
 
 
@@ -330,7 +344,7 @@ def test_builtin_generic_has_no_vanishing_subset_sums():
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(UnknownScenario):
+    with pytest.raises(ValueError, match="no built-in scenario named 'no-such'"):
         builtin_scenario("no-such")
 
 
@@ -377,13 +391,13 @@ def test_refine_without_parts_names_the_slit():
 
 
 def test_refine_unknown_slit():
-    with pytest.raises(UnknownSlit):
+    with pytest.raises(ValueError, match="no slit labelled 'S9'"):
         refine_slit(builtin_scenario("three-slit-contradiction"), "S9", [("a", 0j)])
 
 
 def test_refine_twice_rejected():
     footnote = builtin_scenario("two-slit-footnote")
-    with pytest.raises(AlreadyRefined):
+    with pytest.raises(ValueError, match="slit 'S2' already has parts"):
         refine_slit(footnote, "S2", [("again", 0j)])
 
 
@@ -441,10 +455,10 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
     from chslit.cli import main
 
     text = "[" * 100_000 + "]" * 100_000
-    with pytest.raises(ParseError):
+    with pytest.raises(SchemaError):
         load_scenario(text)
     path = tmp_path / "deep.json"
     path.write_text(text)
     assert main(["check", "--file", str(path), "--partition", "1"]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "nested too deeply" in err
+    assert err.splitlines() == ["chslit: error: $: scenario document is nested too deeply"]
