@@ -24,6 +24,8 @@ PART_SUM_TOLERANCE = 1e-12
 
 def _require_finite(value: complex, kind: str, label: str) -> complex:
     try:
+        if isinstance(value, str):  # complex() would parse "1j"; a string is not a number
+            raise TypeError
         z = complex(value)
     except TypeError:
         raise ValueError(f"{kind} {label!r} amplitude must be a number, got {value!r}") from None

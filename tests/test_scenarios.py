@@ -102,15 +102,19 @@ def test_load_part_sum_check_is_relative_to_the_amplitude_scale(scale):
 
 
 def test_load_rejects_malformed_json():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as excinfo:
         load_scenario("{not json")
+    assert excinfo.value.field_path == "$"
+    assert str(excinfo.value).startswith("$: scenario document is not valid JSON: ")
 
 
 def test_undecodable_bytes_are_a_parse_error(tmp_path, capsys):
     from chslit.cli import main
 
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as excinfo:
         load_scenario(b"\xff{}")
+    assert excinfo.value.field_path == "$"
+    assert str(excinfo.value).startswith("$: scenario document is not valid JSON: ")
     path = tmp_path / "latin1.json"
     path.write_bytes(THREE_SLIT_DOC.replace("S1", "S\xe9").encode("latin-1"))
     assert main(["frameworks", "--file", str(path)]) == 2
@@ -306,8 +310,13 @@ def test_constructors_refuse_what_the_loader_refuses(build, message):
         (lambda: SlitScenario("x", "AB"), "each slit must be a Slit, got 'A'"),
         (lambda: Slit("A", None), "slit 'A' amplitude must be a number, got None"),
         (lambda: SlitPart("a", [1]), "part 'a' amplitude must be a number, got [1]"),
+        (lambda: Slit("A", "1"), "slit 'A' amplitude must be a number, got '1'"),
+        (lambda: SlitPart("a", "1j"), "part 'a' amplitude must be a number, got '1j'"),
     ],
-    ids=["part-tuple", "parts-string", "slit-tuple", "slits-string", "slit-amplitude", "part-amplitude"],
+    ids=[
+        "part-tuple", "parts-string", "slit-tuple", "slits-string",
+        "slit-amplitude", "part-amplitude", "slit-amplitude-string", "part-amplitude-string",
+    ],
 )
 def test_constructors_refuse_items_of_the_wrong_type_by_name(build, message):
     with pytest.raises(ValueError) as excinfo:
@@ -455,8 +464,10 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
     from chslit.cli import main
 
     text = "[" * 100_000 + "]" * 100_000
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as excinfo:
         load_scenario(text)
+    assert excinfo.value.field_path == "$"
+    assert str(excinfo.value) == "$: scenario document is nested too deeply"
     path = tmp_path / "deep.json"
     path.write_text(text)
     assert main(["check", "--file", str(path), "--partition", "1"]) == 2
